@@ -918,10 +918,8 @@ impl DiffExecutor {
                     }
                 },
                 Ok(None) => break,
-                Err(e) => {
-                    handle.abandon();
-                    return Err(e);
-                }
+                // Dropping the handle abandons the job.
+                Err(e) => return Err(e),
             }
         }
         if let Some(e) = first_err {
@@ -1205,6 +1203,22 @@ impl JobHandle {
             if self.job.ledger {
                 obs.metrics.jobs_abandoned.inc();
             }
+        }
+    }
+}
+
+impl Drop for JobHandle {
+    /// A handle dropped before its job was fully collected — by an early
+    /// return, or by a collector thread unwinding from a panic — abandons
+    /// the job, so its rows stop counting toward `in_flight`, the ready
+    /// rows and the gauges that admission control reads.
+    fn drop(&mut self) {
+        let settled = {
+            let inner = lock(&self.job.inner);
+            inner.pending.is_empty() && inner.undelivered == 0
+        };
+        if !settled {
+            self.abandon();
         }
     }
 }
@@ -1726,5 +1740,75 @@ mod tests {
         let out = exec.diff_pair(&a, &b, None).unwrap();
         assert_eq!(out.image, a.xor(&b).unwrap());
         assert_eq!(exec.in_flight(), 0);
+    }
+
+    /// An observed two-worker executor plus a pair big enough that a
+    /// dropped handle is very likely to leave rows undelivered.
+    fn observed_pair() -> (DiffExecutor, Arc<RleImage>, Arc<RleImage>) {
+        let exec = DiffExecutorConfig {
+            observe: Some(ObsConfig::default()),
+            ..DiffExecutorConfig::new(2)
+        }
+        .build();
+        let a = Arc::new(gen_image(2048, 128, 31));
+        let b = Arc::new(gen_image(2048, 128, 32));
+        (exec, a, b)
+    }
+
+    /// Waits for stale deliveries to drain, then checks that nothing of
+    /// the dropped jobs is still counted anywhere and the job ledger
+    /// closes.
+    fn assert_settled(exec: &DiffExecutor) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while exec.abandoned() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(exec.in_flight(), 0);
+        assert_eq!(exec.abandoned(), 0);
+        assert_eq!(exec.load().ready_chunks, 0);
+        let s = exec.observer().unwrap().metrics_snapshot();
+        assert_eq!(s.in_flight, 0, "in_flight gauge");
+        assert_eq!(s.queue_depth, 0, "queue_depth gauge");
+        assert_eq!(s.jobs_submitted, s.jobs_completed + s.jobs_abandoned);
+    }
+
+    #[test]
+    fn dropping_an_uncollected_handle_abandons_the_job() {
+        let (exec, a, b) = observed_pair();
+        for _ in 0..10 {
+            drop(exec.submit_pair(&a, &b).unwrap());
+        }
+        assert_settled(&exec);
+        // The executor still serves.
+        let out = exec.diff_pair(&a, &b, None).unwrap();
+        assert_eq!(out.image, a.xor(&b).unwrap());
+        assert_settled(&exec);
+    }
+
+    #[test]
+    fn dropping_a_handle_mid_collect_abandons_the_rest() {
+        let (exec, a, b) = observed_pair();
+        for _ in 0..10 {
+            let handle = exec.submit_pair(&a, &b).unwrap();
+            for _ in 0..5 {
+                assert!(handle.collect_next(None).unwrap().is_some());
+            }
+        }
+        assert_settled(&exec);
+    }
+
+    #[test]
+    fn a_panicking_collector_abandons_its_job() {
+        let (exec, a, b) = observed_pair();
+        let exec = Arc::new(exec);
+        for _ in 0..4 {
+            let handle = exec.submit_pair(&a, &b).unwrap();
+            let collector = std::thread::spawn(move || {
+                let _ = handle.collect_next(None);
+                panic!("collector dies holding the handle");
+            });
+            assert!(collector.join().is_err());
+        }
+        assert_settled(&exec);
     }
 }

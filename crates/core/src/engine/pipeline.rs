@@ -1027,10 +1027,8 @@ impl DiffPipeline {
             let done = match handle.collect_next(collect_deadline) {
                 Ok(Some(done)) => done,
                 Ok(None) => break,
-                Err(e) => {
-                    handle.abandon();
-                    return Err(e);
-                }
+                // Dropping the handle abandons the job.
+                Err(e) => return Err(e),
             };
             match done.result {
                 Ok((row, row_stats)) => {

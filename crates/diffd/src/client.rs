@@ -9,8 +9,8 @@ use std::time::Duration;
 use rle::RleImage;
 
 use crate::proto::{
-    self, encode_frame, DiffReply, DiffRequest, ErrorCode, FrameKind, FrameReadError, ProtoError,
-    DEFAULT_MAX_FRAME_LEN,
+    self, DiffReply, ErrorCode, FrameKind, FrameReadError, ProtoError, DEFAULT_MAX_FRAME_LEN,
+    REUSED_BUFFER_CAP,
 };
 
 /// Everything a request can come back as, typed.
@@ -126,28 +126,28 @@ pub struct DiffClient {
     stream: TcpStream,
     max_frame_len: u32,
     next_request_id: u64,
+    /// Outgoing frames are built here, reused across requests.
+    frame: Vec<u8>,
 }
 
 impl DiffClient {
     /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            next_request_id: 1,
-        })
+        Self::over(TcpStream::connect(addr)?)
     }
 
     /// Connects with a connect timeout (a resolved address is required).
     pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
+        Self::over(TcpStream::connect_timeout(addr, timeout)?)
+    }
+
+    fn over(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             next_request_id: 1,
+            frame: Vec::new(),
         })
     }
 
@@ -157,10 +157,17 @@ impl DiffClient {
         self.stream.set_read_timeout(timeout)
     }
 
-    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), ClientError> {
-        let frame = encode_frame(kind, payload);
-        self.stream.write_all(&frame).map_err(ClientError::Io)?;
-        self.stream.flush().map_err(ClientError::Io)
+    /// Builds one frame in the reused buffer and sends it.
+    fn send_with(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> Result<(), ClientError> {
+        self.frame.clear();
+        build(&mut self.frame);
+        let sent = self
+            .stream
+            .write_all(&self.frame)
+            .and_then(|()| self.stream.flush());
+        // One huge request must not pin its memory for the connection's life.
+        self.frame.shrink_to(REUSED_BUFFER_CAP);
+        sent.map_err(ClientError::Io)
     }
 
     fn recv(&mut self) -> Result<(FrameKind, Vec<u8>), ClientError> {
@@ -172,7 +179,7 @@ impl DiffClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.send(FrameKind::Ping, &[])?;
+        self.send_with(|out| proto::encode_frame_into(out, FrameKind::Ping, &[]))?;
         match self.recv()? {
             (FrameKind::Pong, _) => Ok(()),
             (FrameKind::Error, payload) => Err(server_error(&payload)),
@@ -183,7 +190,7 @@ impl DiffClient {
     /// Fetches the server's Prometheus exposition over the binary
     /// protocol.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.send(FrameKind::Metrics, &[])?;
+        self.send_with(|out| proto::encode_frame_into(out, FrameKind::Metrics, &[]))?;
         match self.recv()? {
             (FrameKind::MetricsText, payload) => Ok(String::from_utf8_lossy(&payload).into_owned()),
             (FrameKind::Error, payload) => Err(server_error(&payload)),
@@ -202,13 +209,9 @@ impl DiffClient {
     ) -> Result<DiffReply, ClientError> {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        let req = DiffRequest {
-            request_id,
-            deadline_ms,
-            a: a.clone(),
-            b: b.clone(),
-        };
-        self.send(FrameKind::Diff, &proto::encode_diff_request(&req))?;
+        self.send_with(|out| {
+            proto::encode_diff_request_frame(out, request_id, deadline_ms, a, b);
+        })?;
         match self.recv()? {
             (FrameKind::DiffOk, payload) => {
                 let reply = proto::decode_diff_reply(&payload).map_err(ClientError::Proto)?;

@@ -18,7 +18,17 @@
 //!   *received* bytes, so an attacker's claimed length can never reserve
 //!   memory it did not pay for on the wire.
 //! * Image payloads go through [`rle::serialize::decode_image`], which
-//!   applies its own pre-allocation plausibility caps per row.
+//!   pre-sizes each row only after capping its run count by the bytes
+//!   left in the payload.
+//!
+//! Outgoing `Diff` and `DiffOk` frames are built in place: the header is
+//! written with a placeholder length, the images are encoded from borrowed
+//! [`RleImage`]s straight behind it, and the frame length and `a_len` are
+//! patched afterwards ([`encode_diff_request_frame`],
+//! [`encode_diff_reply_frame`]). Client and server sessions reuse one
+//! frame buffer across requests. The payload-only encoders
+//! ([`encode_diff_request`], [`encode_diff_reply`]) are thin wrappers over
+//! the same writers, so both paths produce identical bytes.
 //!
 //! Every malformed input maps to a typed [`ProtoError`]; nothing in this
 //! module panics on wire data.
@@ -43,6 +53,10 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Largest buffer capacity ever reserved from a *claimed* (unreceived)
 /// length. Everything beyond this is allocated only as bytes arrive.
 pub const PREALLOC_CAP: usize = 64 * 1024;
+
+/// Capacity a connection keeps in the frame buffer it reuses between
+/// requests; a larger frame's buffer is trimmed back after it is sent.
+pub(crate) const REUSED_BUFFER_CAP: usize = 1024 * 1024;
 
 /// Frame discriminants. Requests live below `0x80`, responses above.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -262,13 +276,40 @@ fn need(data: &[u8], n: usize) -> Result<(), ProtoError> {
 /// the sending side, unreachable from wire input.
 #[must_use]
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("payload fits a u32 length prefix");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    encode_frame_into(&mut out, kind, payload);
+    out
+}
+
+/// Appends a full frame to `out` (see [`encode_frame`]).
+///
+/// # Panics
+///
+/// Panics if `payload` exceeds `u32::MAX` bytes.
+pub fn encode_frame_into(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
+    frame_into(out, kind, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame to `out`: the header goes first with a placeholder
+/// length, `payload` writes the body straight after it, and the length is
+/// patched in place — no intermediate payload buffer.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes (see [`encode_frame`]).
+fn frame_into(out: &mut Vec<u8>, kind: FrameKind, payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(kind as u8);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    patch_len(out, header + 5, header + FRAME_HEADER_LEN);
+}
+
+/// Writes `out.len() - from` as a `u32le` at `out[at..at + 4]`.
+fn patch_len(out: &mut [u8], at: usize, from: usize) {
+    let len = u32::try_from(out.len() - from).expect("payload fits a u32 length prefix");
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Validates a frame header. Called on exactly [`FRAME_HEADER_LEN`] bytes;
@@ -295,16 +336,45 @@ pub fn decode_header(header: &[u8], max_frame_len: u32) -> Result<(FrameKind, u3
 /// `request_id:u64le | deadline_ms:u32le | a_len:u32le | a | b`.
 #[must_use]
 pub fn encode_diff_request(req: &DiffRequest) -> Vec<u8> {
-    let a = serialize::encode_image(&req.a);
-    let b = serialize::encode_image(&req.b);
-    let mut out = Vec::with_capacity(16 + a.len() + b.len());
-    out.extend_from_slice(&req.request_id.to_le_bytes());
-    out.extend_from_slice(&req.deadline_ms.to_le_bytes());
-    let a_len = u32::try_from(a.len()).expect("image encoding fits a u32");
-    out.extend_from_slice(&a_len.to_le_bytes());
-    out.extend_from_slice(&a);
-    out.extend_from_slice(&b);
+    let mut out = Vec::new();
+    put_diff_request(&mut out, req.request_id, req.deadline_ms, &req.a, &req.b);
     out
+}
+
+/// Appends a complete `Diff` frame for the borrowed images `a` and `b` to
+/// `out`, byte-identical to
+/// `encode_frame(FrameKind::Diff, &encode_diff_request(..))` but built in
+/// one pass with no copy of either image.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn encode_diff_request_frame(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    deadline_ms: u32,
+    a: &RleImage,
+    b: &RleImage,
+) {
+    frame_into(out, FrameKind::Diff, |out| {
+        put_diff_request(out, request_id, deadline_ms, a, b);
+    });
+}
+
+fn put_diff_request(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    deadline_ms: u32,
+    a: &RleImage,
+    b: &RleImage,
+) {
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&deadline_ms.to_le_bytes());
+    let a_len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    serialize::encode_image_into(a, out);
+    patch_len(out, a_len_at, a_len_at + 4);
+    serialize::encode_image_into(b, out);
 }
 
 /// Decodes a [`DiffRequest`] payload, enforcing the internal length split
@@ -337,15 +407,28 @@ pub fn decode_diff_request(payload: &[u8]) -> Result<DiffRequest, ProtoError> {
 /// queue_wait_ns:u64le | compute_ns:u64le | image`.
 #[must_use]
 pub fn encode_diff_reply(reply: &DiffReply) -> Vec<u8> {
-    let img = serialize::encode_image(&reply.image);
-    let mut out = Vec::with_capacity(40 + img.len());
+    let mut out = Vec::new();
+    put_diff_reply(&mut out, reply);
+    out
+}
+
+/// Appends a complete `DiffOk` frame for `reply` to `out`, built in place
+/// like [`encode_diff_request_frame`].
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn encode_diff_reply_frame(out: &mut Vec<u8>, reply: &DiffReply) {
+    frame_into(out, FrameKind::DiffOk, |out| put_diff_reply(out, reply));
+}
+
+fn put_diff_reply(out: &mut Vec<u8>, reply: &DiffReply) {
     out.extend_from_slice(&reply.request_id.to_le_bytes());
     out.extend_from_slice(&reply.ticket_lo.to_le_bytes());
     out.extend_from_slice(&reply.ticket_hi.to_le_bytes());
     out.extend_from_slice(&reply.queue_wait_ns.to_le_bytes());
     out.extend_from_slice(&reply.compute_ns.to_le_bytes());
-    out.extend_from_slice(&img);
-    out
+    serialize::encode_image_into(&reply.image, out);
 }
 
 /// Decodes a [`DiffReply`] payload.

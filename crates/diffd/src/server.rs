@@ -40,7 +40,7 @@ use systolic_core::FaultPlan;
 use crate::metrics::ServerMetrics;
 use crate::proto::{
     self, decode_header, encode_error_reply, encode_frame, DiffReply, ErrorCode, ErrorReply,
-    FrameKind, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PREALLOC_CAP,
+    FrameKind, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PREALLOC_CAP, REUSED_BUFFER_CAP,
 };
 
 /// Everything tunable about a [`DiffServer`]. `Default` is production-ish;
@@ -376,6 +376,8 @@ struct Session {
     shared: Arc<ServerShared>,
     #[allow(dead_code)] // part of the conn→ticket mapping, surfaced in replies
     conn_id: u64,
+    /// Outgoing frames are built here, reused across requests.
+    out: Vec<u8>,
 }
 
 impl Session {
@@ -386,6 +388,7 @@ impl Session {
             stream,
             shared,
             conn_id,
+            out: Vec::new(),
         }
     }
 
@@ -590,7 +593,7 @@ impl Session {
                     compute_ns,
                     image: job.image,
                 };
-                self.send_frame(FrameKind::DiffOk, &proto::encode_diff_reply(&reply))
+                self.send_with(|out| proto::encode_diff_reply_frame(out, &reply))
             }
             Err(e @ SystolicError::DeadlineExceeded { .. }) => {
                 m.deadline_hits.inc();
@@ -685,18 +688,22 @@ impl Session {
         ReadStep::Done
     }
 
-    /// Reads a declared-length payload under the frame deadline. The
-    /// buffer starts at most [`PREALLOC_CAP`] bytes — growth follows
-    /// received bytes, never the claimed length.
+    /// Reads a declared-length payload under the frame deadline, straight
+    /// into the payload buffer. The buffer starts at most
+    /// [`PREALLOC_CAP`] bytes and doubles only once the bytes received
+    /// have filled it — growth follows received bytes, never the claimed
+    /// length.
     fn read_payload_deadline(&mut self, len: u32, deadline: Instant) -> Result<Vec<u8>, ReadStep> {
         let len = len as usize;
-        let mut payload = Vec::with_capacity(len.min(PREALLOC_CAP));
-        let mut scratch = [0u8; 8192];
-        while payload.len() < len {
-            let want = (len - payload.len()).min(scratch.len());
-            match self.stream.read(&mut scratch[..want]) {
-                Ok(0) => return Err(ReadStep::Eof { got: payload.len() }),
-                Ok(n) => payload.extend_from_slice(&scratch[..n]),
+        let mut payload = vec![0u8; len.min(PREALLOC_CAP)];
+        let mut got = 0;
+        while got < len {
+            if got == payload.len() {
+                payload.resize(len.min(got * 2), 0);
+            }
+            match self.stream.read(&mut payload[got..]) {
+                Ok(0) => return Err(ReadStep::Eof { got }),
+                Ok(n) => got += n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -718,15 +725,25 @@ impl Session {
     /// Writes one frame; returns false if the socket is gone (the session
     /// then closes — a stalled *reader* is bounded by the write timeout).
     fn send_frame(&mut self, kind: FrameKind, payload: &[u8]) -> bool {
-        let frame = encode_frame(kind, payload);
-        match self.stream.write_all(&frame) {
+        self.send_with(|out| proto::encode_frame_into(out, kind, payload))
+    }
+
+    /// Builds one frame in the session's reused buffer and writes it (see
+    /// [`Self::send_frame`]).
+    fn send_with(&mut self, build: impl FnOnce(&mut Vec<u8>)) -> bool {
+        self.out.clear();
+        build(&mut self.out);
+        let sent = match self.stream.write_all(&self.out) {
             Ok(()) => {
-                self.shared.metrics.bytes_written.add(frame.len() as u64);
+                self.shared.metrics.bytes_written.add(self.out.len() as u64);
                 let _ = self.stream.flush();
                 true
             }
             Err(_) => false,
-        }
+        };
+        // One huge reply must not pin its memory for the session's life.
+        self.out.shrink_to(REUSED_BUFFER_CAP);
+        sent
     }
 
     fn send_error(&mut self, request_id: u64, code: ErrorCode, message: &str) -> bool {

@@ -10,8 +10,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use diffd::proto::{
-    self, encode_frame, DiffRequest, ErrorCode, FrameKind, FrameReadError, ProtoError,
-    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
+    self, encode_frame, DiffReply, DiffRequest, ErrorCode, FrameKind, FrameReadError, ProtoError,
+    DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN, PREALLOC_CAP,
 };
 use diffd::{DiffClient, DiffServer, DiffServerConfig};
 use rle::RleImage;
@@ -171,6 +171,41 @@ fn random_garbage_streams_never_panic_the_decoder() {
     }
 }
 
+#[test]
+fn frames_built_in_place_match_the_payload_then_frame_path() {
+    for seed in 0..16u64 {
+        let req = DiffRequest {
+            request_id: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            deadline_ms: seed as u32 * 7,
+            a: sample_image(seed),
+            b: sample_image(seed + 100),
+        };
+        let want = encode_frame(FrameKind::Diff, &proto::encode_diff_request(&req));
+        // Appending after existing bytes must not disturb either length
+        // patch.
+        let mut out = b"earlier frame".to_vec();
+        proto::encode_diff_request_frame(&mut out, req.request_id, req.deadline_ms, &req.a, &req.b);
+        assert_eq!(&out[13..], &want[..], "Diff frame, seed {seed}");
+
+        let reply = DiffReply {
+            request_id: req.request_id,
+            ticket_lo: seed,
+            ticket_hi: seed + 6,
+            queue_wait_ns: seed * 1_000,
+            compute_ns: seed * 77_777,
+            image: req.a.xor(&req.b).unwrap(),
+        };
+        let want = encode_frame(FrameKind::DiffOk, &proto::encode_diff_reply(&reply));
+        let mut out = b"earlier frame".to_vec();
+        proto::encode_diff_reply_frame(&mut out, &reply);
+        assert_eq!(&out[13..], &want[..], "DiffOk frame, seed {seed}");
+
+        let mut out = b"x".to_vec();
+        proto::encode_frame_into(&mut out, FrameKind::Ping, b"body");
+        assert_eq!(&out[1..], &encode_frame(FrameKind::Ping, b"body")[..]);
+    }
+}
+
 // ------------------------------------------------------------- live socket
 
 /// Sends raw bytes, returns the server's typed error frame (if any), and
@@ -297,4 +332,39 @@ fn live_server_answers_malformed_frames_with_typed_errors_and_survives() {
     let m = handle.server_metrics();
     assert_eq!(m.connections_open.get(), 0);
     assert_eq!(m.connections_accepted.get(), m.connections_closed.get());
+}
+
+#[test]
+fn live_server_reads_a_dribbled_frame_larger_than_the_preallocation() {
+    let server = DiffServer::bind("127.0.0.1:0", fuzz_server_config()).unwrap();
+    let addr = server.local_addr();
+    let (handle, join) = server.spawn();
+
+    // Two wide, busy images: the payload is several times PREALLOC_CAP,
+    // so the server's buffer has to grow while bytes arrive.
+    let gen = |seed| RowGenerator::new(GenParams::for_density(8192, 0.3), seed).next_image(512);
+    let (a, b) = (gen(7), gen(8));
+    let mut frame = Vec::new();
+    proto::encode_diff_request_frame(&mut frame, 5, 0, &a, &b);
+    assert!(frame.len() > 3 * PREALLOC_CAP, "{} bytes", frame.len());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    for piece in frame.chunks(7_919) {
+        stream.write_all(piece).unwrap();
+        stream.flush().unwrap();
+    }
+    match proto::read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN).unwrap() {
+        Some((FrameKind::DiffOk, payload)) => {
+            let reply = proto::decode_diff_reply(&payload).unwrap();
+            assert_eq!(reply.request_id, 5);
+            assert_eq!(reply.image, a.xor(&b).unwrap());
+        }
+        other => panic!("wanted DiffOk, got {other:?}"),
+    }
+    drop(stream);
+    handle.shutdown();
+    join.join().unwrap();
 }

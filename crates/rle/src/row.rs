@@ -104,6 +104,17 @@ impl RleRow {
         })
     }
 
+    /// Wraps a run list the caller has already validated (the binary
+    /// decoder checks each run once as it reads it).
+    pub(crate) fn from_validated_runs(width: Pixel, runs: Vec<Run>) -> Self {
+        debug_assert!(Self::validate(width, &runs).is_ok());
+        Self {
+            width,
+            runs,
+            sig: AtomicU64::new(0),
+        }
+    }
+
     /// Creates a row from the paper's `(start, length)` tuple notation.
     pub fn from_pairs(width: Pixel, pairs: &[(Pixel, Pixel)]) -> Result<Self, RleError> {
         let mut runs = Vec::with_capacity(pairs.len());

@@ -14,7 +14,18 @@
 //!
 //! `gap` is the distance from the previous run's end-exclusive position (or
 //! from 0 for the first run); `len1` is `len − 1`. Decoding validates the
-//! same invariants as [`RleRow::from_runs`].
+//! same invariants as [`RleRow::from_runs`], checking each run once: a
+//! non-negative `gap` already orders the run after its predecessor and
+//! `len1 + 1 ≥ 1` makes it non-empty, so only the width is left to test.
+//!
+//! **Pre-sizing.** [`decode_image`] and [`decode_row`] size each row's run
+//! vector from its declared count, but only after capping the count at
+//! `remaining_bytes / 2` (every run costs two bytes): the allocation stays
+//! proportional to the input. The streaming [`ImageReader`] cannot see the
+//! rest of its input, so its count is capped only by the row width, and it
+//! must **not** pre-size — a few header bytes could otherwise reserve
+//! gigabytes. [`encode_image_into`] appends to a caller's buffer, which is
+//! how containers (the `diffd` frames) build their bytes in place.
 //!
 //! ```
 //! use rle::{serialize, RleRow};
@@ -120,13 +131,52 @@ pub fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
 }
 
 fn encode_row_body(row: &RleRow, out: &mut Vec<u8>) {
-    put_varint(out, row.run_count() as u32);
+    // Room for the worst case (five bytes per varint) is zero-filled once
+    // per row, written by index and trimmed to what was used: no capacity
+    // check per byte.
+    let start = out.len();
+    out.resize(start + 5 + 10 * row.run_count(), 0);
+    let buf = &mut out[start..];
+    let mut n = 0;
+    put_varint_at(buf, &mut n, row.run_count() as u32);
     let mut prev_end: Pixel = 0;
     for run in row.runs() {
-        put_varint(out, run.start() - prev_end);
-        put_varint(out, run.len() - 1);
+        put_varint_at(buf, &mut n, run.start() - prev_end);
+        put_varint_at(buf, &mut n, run.len() - 1);
         prev_end = run.end_exclusive();
     }
+    out.truncate(start + n);
+}
+
+/// Writes `v` as an LEB128 varint at `buf[*at..]`, advancing `*at`.
+#[inline]
+fn put_varint_at(buf: &mut [u8], at: &mut usize, mut v: u32) {
+    while v >= 0x80 {
+        buf[*at] = (v as u8) | 0x80;
+        *at += 1;
+        v >>= 7;
+    }
+    buf[*at] = v as u8;
+    *at += 1;
+}
+
+/// [`get_varint`] with the one-byte case inline: gaps and lengths below
+/// 128 pixels, the common case, never leave the decode loop.
+#[inline(always)]
+fn read_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+    match data.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u32::from(byte))
+        }
+        _ => get_varint_cold(data, pos),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn get_varint_cold(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
+    get_varint(data, pos)
 }
 
 /// The tightest cheap upper bound on a row's run count: each run costs at
@@ -137,7 +187,7 @@ fn plausible_run_count(remaining_bytes: usize, width: Pixel) -> u64 {
 }
 
 fn decode_row_body(data: &[u8], pos: &mut usize, width: Pixel) -> Result<RleRow, DecodeError> {
-    let count = get_varint(data, pos)? as usize;
+    let count = read_varint(data, pos)? as usize;
     let max_plausible = plausible_run_count(data.len() - *pos, width);
     if count as u64 > max_plausible {
         return Err(DecodeError::ImplausibleCount {
@@ -145,23 +195,23 @@ fn decode_row_body(data: &[u8], pos: &mut usize, width: Pixel) -> Result<RleRow,
             max_plausible,
         });
     }
-    let mut row = RleRow::new(width);
+    // The cap above keeps this reservation proportional to the input.
+    let mut runs = Vec::with_capacity(count);
     let mut prev_end: u64 = 0;
-    for _ in 0..count {
-        let gap = u64::from(get_varint(data, pos)?);
-        let len = u64::from(get_varint(data, pos)?) + 1;
+    for index in 0..count {
+        let gap = u64::from(read_varint(data, pos)?);
+        let len = u64::from(read_varint(data, pos)?) + 1;
         let start = prev_end + gap;
-        if start + len > u64::from(width) {
-            return Err(RleError::RunExceedsWidth {
-                index: row.run_count(),
-                width,
-            }
-            .into());
+        let end = start + len;
+        // The one check a run needs: `gap >= 0` orders it after the
+        // previous run and `len >= 1` makes it non-empty.
+        if end > u64::from(width) {
+            return Err(RleError::RunExceedsWidth { index, width }.into());
         }
-        row.push_run(Run::new(start as Pixel, len as Pixel))?;
-        prev_end = start + len;
+        runs.push(Run::new(start as Pixel, len as Pixel));
+        prev_end = end;
     }
-    Ok(row)
+    Ok(RleRow::from_validated_runs(width, runs))
 }
 
 /// Serializes a row into the compact binary format.
@@ -186,14 +236,21 @@ pub fn decode_row(data: &[u8]) -> Result<RleRow, DecodeError> {
 /// Serializes an image.
 #[must_use]
 pub fn encode_image(img: &RleImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + img.total_runs() * 3);
+    let mut out = Vec::new();
+    encode_image_into(img, &mut out);
+    out
+}
+
+/// Appends the serialized image to `out` — the one image encoder, which
+/// lets containers (the `diffd` frames) build their bytes in place.
+pub fn encode_image_into(img: &RleImage, out: &mut Vec<u8>) {
+    out.reserve(16 + img.total_runs() * 3);
     out.extend_from_slice(IMAGE_MAGIC);
     out.extend_from_slice(&img.width().to_le_bytes());
-    put_varint(&mut out, img.height() as u32);
+    put_varint(out, img.height() as u32);
     for row in img.rows() {
-        encode_row_body(row, &mut out);
+        encode_row_body(row, out);
     }
-    out
 }
 
 /// Deserializes an image.
@@ -369,7 +426,8 @@ impl<R: Read> ImageReader<R> {
     fn read_one(&mut self) -> Result<RleRow, DecodeError> {
         let count = read_varint_io(&mut self.input)? as usize;
         // The stream's remaining length is unknown, but runs cover at least
-        // one pixel each, so a count beyond the row width is corrupt.
+        // one pixel each, so a count beyond the row width is corrupt. That
+        // cap does not bound the input, so the row is never pre-sized.
         if count as u64 > u64::from(self.width) {
             return Err(DecodeError::ImplausibleCount {
                 declared: count as u64,

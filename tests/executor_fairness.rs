@@ -186,9 +186,7 @@ fn results_route_only_to_the_owning_job_under_churn() {
                     if round % 3 == 2 {
                         // Churn: walk away mid-job. Its rows must be
                         // discarded, never delivered to anyone else.
-                        let _ = handle
-                            .collect_next(Some(Instant::now()))
-                            .map(drop);
+                        let _ = handle.collect_next(Some(Instant::now())).map(drop);
                         handle.abandon();
                         continue;
                     }
