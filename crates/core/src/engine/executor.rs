@@ -14,12 +14,16 @@
 //!   all of them. Work-stealing is unchanged (the owner pops the front of
 //!   the rotated job's deque, a thief the back), and steals are attributed
 //!   to the stolen chunk's job.
-//! * **Result routing keyed by job id.** A worker delivers each finished
-//!   chunk straight into the owning job's completion state (a mutex +
-//!   condvar pair per job) — there is no shared collector loop and no
-//!   global pending queue to serialize on. [`JobHandle::collect_next`]
-//!   waits on its own job's condvar; concurrent submitters never contend
-//!   except on the shard queues themselves.
+//! * **Result routing keyed by job id, one block per chunk.** A worker
+//!   fills one [`ChunkOutcome`] per chunk — the chunk's rows, their summed
+//!   statistics, kernel tallies and first error — and appends it to the
+//!   owning job's completion state (a mutex + condvar pair per job) under
+//!   one lock. There is no shared collector loop, no global pending queue
+//!   and no per-row hand-off. [`JobHandle::collect_chunk`] waits on its
+//!   own job's condvar; the batch front ends (`diff_pair`, `diff_images*`)
+//!   share one collect-into-image routine that places each block at its
+//!   image rows. Concurrent submitters never contend except on the shard
+//!   queues themselves.
 //! * **Job-granular supervision.** A dedicated supervisor thread ticks
 //!   every `SUPERVISION_TICK`, respawns dead workers and recovers the
 //!   orphaned chunk from the dead worker's checkout slot — retried, failed
@@ -64,7 +68,7 @@ pub(crate) const SUPERVISION_TICK: Duration = Duration::from_millis(20);
 /// steal the tail of a job without per-row traffic.
 pub(crate) const CHUNKS_PER_WORKER: usize = 4;
 
-/// At most this many spare chunk-result vectors are kept for reuse.
+/// At most this many spare chunk row vectors are kept for reuse.
 const SPARE_POOL_CAP: usize = 64;
 
 /// Where a chunk's row pairs live. Cloning is `Arc`-cheap in both cases,
@@ -137,19 +141,54 @@ impl Chunk {
             job: Arc::clone(&self.job),
         }
     }
+
+    /// An empty result block for this chunk, filling `rows`.
+    fn outcome(&self, worker: usize, rows: Vec<RleRow>) -> ChunkOutcome {
+        ChunkOutcome {
+            base: self.base,
+            lo: self.lo,
+            len: self.len(),
+            worker,
+            rows,
+            stats: ArrayStats::default(),
+            max_row_iterations: 0,
+            kernels: [0; 4],
+            error: None,
+        }
+    }
 }
 
-/// One row's result inside a chunk delivery.
-struct RowResult {
-    ticket: u64,
-    kernel: Option<KernelChoice>,
-    result: Result<(RleRow, ArrayStats), SystolicError>,
+/// One delivered chunk: the results of all its rows as one block, so a
+/// chunk costs one hand-off to its job instead of one per row. Row
+/// `lo + k` of the image carries ticket `base + k`.
+#[derive(Debug)]
+pub struct ChunkOutcome {
+    /// Ticket of the block's first row.
+    pub base: u64,
+    /// Image row of the block's first row.
+    pub lo: usize,
+    /// Rows the block accounts for: the diffed `rows` plus any that
+    /// errored.
+    pub len: usize,
+    /// Index of the pool worker that delivered the block.
+    pub worker: usize,
+    /// The diffed rows in row order. Rows that errored are missing, so
+    /// when `error` is set the positions after the first failure shift.
+    pub rows: Vec<RleRow>,
+    /// The per-row statistics of `rows`, summed.
+    pub stats: ArrayStats,
+    /// The largest per-row iteration count among `rows`.
+    pub max_row_iterations: u64,
+    /// Rows per kernel, indexed like [`KernelChoice::ALL`].
+    pub kernels: [usize; 4],
+    /// The first row error of the block, if any row errored.
+    pub error: Option<SystolicError>,
 }
 
 /// Mutable completion state of one job, guarded by the job's mutex.
 struct JobInner {
-    /// Delivered rows not yet popped by [`JobHandle::collect_next`].
-    pending: VecDeque<RowOutcome>,
+    /// Delivered blocks not yet taken by [`JobHandle::collect_chunk`].
+    pending: VecDeque<ChunkOutcome>,
     /// Rows submitted but not yet delivered (queued, checked out, or held
     /// by a wedged worker).
     undelivered: usize,
@@ -303,8 +342,8 @@ struct Shared {
     timeouts: AtomicU64,
     /// Chunks popped from a sibling shard's queue (tail rebalancing).
     steals: AtomicU64,
-    /// Chunk-result vectors recycled back to workers.
-    spare: Mutex<Vec<Vec<RowResult>>>,
+    /// Chunk row vectors recycled back to workers.
+    spare: Mutex<Vec<Vec<RleRow>>>,
     /// How many times a worker got a recycled vector instead of
     /// allocating.
     buffer_hits: AtomicU64,
@@ -416,7 +455,7 @@ impl Shared {
         }
     }
 
-    fn take_spare(&self, job: &JobState) -> Vec<RowResult> {
+    fn take_spare(&self, job: &JobState) -> Vec<RleRow> {
         let recycled = lock(&self.spare).pop();
         match recycled {
             Some(vec) => {
@@ -428,7 +467,7 @@ impl Shared {
         }
     }
 
-    fn return_spare(&self, mut vec: Vec<RowResult>) {
+    fn return_spare(&self, mut vec: Vec<RleRow>) {
         vec.clear();
         if vec.capacity() == 0 {
             return;
@@ -445,72 +484,65 @@ impl Shared {
         }
     }
 
-    /// Routes one finished chunk to its owning job: live rows join the
-    /// job's pending queue (ringing its bell); rows of an abandoned job
-    /// are discarded here, never delivered — the result-isolation
-    /// invariant. The result vector is recycled afterwards.
-    fn deliver(&self, worker: usize, job: &Arc<JobState>, mut results: Vec<RowResult>) {
-        {
-            let mut inner = lock(&job.inner);
-            if inner.abandoned {
-                for row in results.drain(..) {
-                    inner.stale = inner.stale.saturating_sub(1);
-                    decrement(&self.abandoned_rows);
-                    // Only successfully diffed rows entered `rows_diffed`;
-                    // booking errored rows as discarded would unbalance
-                    // the `rows_diffed == rows_completed + rows_discarded`
-                    // ledger.
-                    if row.result.is_ok() {
-                        if let Some(obs) = &self.obs {
-                            obs.metrics.rows_discarded.inc();
-                        }
-                    }
-                }
-            } else {
-                let n = results.len();
-                let mut any_ok = false;
-                for row in results.drain(..) {
-                    if let Some(obs) = &self.obs {
-                        if row.result.is_ok() {
-                            obs.metrics.rows_completed.inc();
-                        } else {
-                            obs.metrics.rows_errored.inc();
-                        }
-                    }
-                    any_ok |= row.result.is_ok();
-                    inner.pending.push_back(RowOutcome {
-                        ticket: Ticket::from_id(row.ticket),
-                        worker,
-                        kernel: row.kernel,
-                        result: row.result,
-                    });
-                }
-                if any_ok {
-                    inner.seen[worker] = true;
-                }
-                inner.undelivered -= n;
-                self.ready_rows.fetch_add(n, Ordering::Relaxed);
-                if inner.undelivered == 0 && job.ledger && !inner.completed {
-                    inner.completed = true;
-                    if let Some(obs) = &self.obs {
-                        obs.metrics.jobs_completed.inc();
-                        obs.record(TraceKind::JobDone {
-                            job: job.id,
-                            rows: job.rows(),
-                        });
-                    }
-                }
-                job.bell.notify_all();
+    /// Routes one finished block to its owning job: a live job appends it
+    /// to its pending blocks (ringing its bell); an abandoned job's block
+    /// is discarded here, never delivered — the result-isolation
+    /// invariant — and its row vector recycled.
+    fn deliver(&self, job: &Arc<JobState>, block: ChunkOutcome) {
+        let (n, ok) = (block.len, block.rows.len());
+        let mut inner = lock(&job.inner);
+        if inner.abandoned {
+            inner.stale = inner.stale.saturating_sub(n);
+            drop(inner);
+            // Only successfully diffed rows entered `rows_diffed`; booking
+            // errored rows as discarded would unbalance the
+            // `rows_diffed == rows_completed + rows_discarded` ledger.
+            if let Some(obs) = &self.obs {
+                obs.metrics.rows_discarded.add(ok as u64);
+            }
+            sub_clamped(&self.abandoned_rows, n);
+            self.return_spare(block.rows);
+            return;
+        }
+        if let Some(obs) = &self.obs {
+            obs.metrics.rows_completed.add(ok as u64);
+            obs.metrics.rows_errored.add((n - ok) as u64);
+        }
+        if ok > 0 {
+            inner.seen[block.worker] = true;
+        }
+        inner.undelivered -= n;
+        self.ready_rows.fetch_add(n, Ordering::Relaxed);
+        if inner.undelivered == 0 && job.ledger && !inner.completed {
+            inner.completed = true;
+            if let Some(obs) = &self.obs {
+                obs.metrics.jobs_completed.inc();
+                obs.record(TraceKind::JobDone {
+                    job: job.id,
+                    rows: job.rows(),
+                });
             }
         }
-        self.return_spare(results);
+        inner.pending.push_back(block);
+        job.bell.notify_all();
     }
 }
 
-/// `fetch_sub(1)` clamped at zero (mirrors the old collector's
+/// When a batch collect ([`JobHandle::collect_image`]) gives up.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Deadline {
+    /// A fixed instant for the whole job; `None` waits indefinitely.
+    At(Option<Instant>),
+    /// The longest wait for each next block, restarting per block.
+    PerBlock(Duration),
+}
+
+/// `fetch_sub(n)` clamped at zero (mirrors the old collector's
 /// `saturating_sub` robustness against double write-offs).
-fn decrement(counter: &AtomicUsize) {
-    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+fn sub_clamped(counter: &AtomicUsize, n: usize) {
+    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+        Some(v.saturating_sub(n))
+    });
 }
 
 /// Configuration for a [`DiffExecutor`]: the engine-level subset of
@@ -765,7 +797,7 @@ impl DiffExecutor {
             steals: AtomicU64::new(0),
             buffer_hits: AtomicU64::new(0),
             inner: Mutex::new(JobInner {
-                pending: VecDeque::new(),
+                pending: VecDeque::with_capacity(chunks),
                 undelivered: (hi - lo) as usize,
                 abandoned: false,
                 completed: false,
@@ -885,53 +917,15 @@ impl DiffExecutor {
         let start = Instant::now();
         let deadline = budget.map(|d| start + d);
         let handle = self.submit_pair(a, b)?;
-        let (lo, _hi) = handle.tickets();
-        let height = a.height();
-        let mut rows: Vec<Option<RleRow>> = vec![None; height];
-        let mut stats = PipelineStats {
+        let stats = PipelineStats {
             workers: self.workers(),
             chunks: handle.chunks(),
-            row_clones_avoided: 4 * height as u64,
+            row_clones_avoided: 4 * a.height() as u64,
             ..Default::default()
         };
-        let mut first_err: Option<SystolicError> = None;
-        loop {
-            match handle.collect_next(deadline) {
-                Ok(Some(outcome)) => match outcome.result {
-                    Ok((row, row_stats)) => {
-                        stats.totals.absorb(&row_stats);
-                        stats.max_row_iterations =
-                            stats.max_row_iterations.max(row_stats.iterations);
-                        stats.rows += 1;
-                        match outcome.kernel {
-                            Some(KernelChoice::FastPath) => stats.rows_fast_path += 1,
-                            Some(KernelChoice::Rle) => stats.rows_rle_kernel += 1,
-                            Some(KernelChoice::Packed) => stats.rows_packed_kernel += 1,
-                            Some(KernelChoice::Systolic) => stats.rows_systolic_kernel += 1,
-                            None => {}
-                        }
-                        let idx = usize::try_from(outcome.ticket.id() - lo).expect("ticket fits");
-                        rows[idx] = Some(row);
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                },
-                Ok(None) => break,
-                // Dropping the handle abandons the job.
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        handle.fill_supervision(&mut stats);
-        stats.wall = start.elapsed();
-        let rows: Vec<RleRow> = rows
-            .into_iter()
-            .map(|r| r.expect("every row collected"))
-            .collect();
-        let image = RleImage::from_rows(a.width(), rows).expect("row widths preserved");
+        let rows = vec![RleRow::new(a.width()); a.height()];
+        let (image, stats) =
+            handle.collect_image(a.width(), rows, stats, start, Deadline::At(deadline))?;
         Ok(JobOutcome {
             job: handle.id(),
             tickets: handle.tickets(),
@@ -1001,7 +995,7 @@ impl JobHandle {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         let inner = lock(&self.job.inner);
-        inner.pending.len() + inner.undelivered
+        inner.pending.iter().map(|b| b.len).sum::<usize>() + inner.undelivered
     }
 
     /// Submission → first chunk checkout, if a worker has started.
@@ -1082,25 +1076,25 @@ impl JobHandle {
         Ticket::from_id(ticket)
     }
 
-    /// Blocks for this job's next completed row, in completion order.
+    /// Blocks for this job's next delivered chunk, in completion order.
     /// `Ok(None)` means the job has no rows outstanding. With a
     /// `deadline`, gives up at that instant with
     /// [`SystolicError::DeadlineExceeded`] — the rows stay in flight
     /// (their worker may still deliver them later); the caller can keep
     /// collecting or [`Self::abandon`] the job.
-    pub fn collect_next(
+    pub fn collect_chunk(
         &self,
         deadline: Option<Instant>,
-    ) -> Result<Option<RowOutcome>, SystolicError> {
+    ) -> Result<Option<ChunkOutcome>, SystolicError> {
         let start = Instant::now();
         let mut inner = lock(&self.job.inner);
         loop {
-            if let Some(outcome) = inner.pending.pop_front() {
+            if let Some(block) = inner.pending.pop_front() {
                 drop(inner);
-                decrement(&self.shared.in_flight);
-                decrement(&self.shared.ready_rows);
-                self.shared.gauge_in_flight(-1);
-                return Ok(Some(outcome));
+                sub_clamped(&self.shared.in_flight, block.len);
+                sub_clamped(&self.shared.ready_rows, block.len);
+                self.shared.gauge_in_flight(-(block.len as i64));
+                return Ok(Some(block));
             }
             if inner.undelivered == 0 {
                 return Ok(None);
@@ -1136,6 +1130,84 @@ impl JobHandle {
         }
     }
 
+    /// The streaming front end's collect: the next single-row block as a
+    /// [`RowOutcome`]. Streaming chunks hold one row, so the block's
+    /// summed statistics are exactly that row's.
+    pub(crate) fn collect_row(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Result<Option<RowOutcome>, SystolicError> {
+        let Some(mut block) = self.collect_chunk(deadline)? else {
+            return Ok(None);
+        };
+        debug_assert_eq!(block.len, 1, "streaming chunks hold one row");
+        let kernel = KernelChoice::ALL
+            .into_iter()
+            .find(|&c| block.kernels[c as usize] > 0);
+        let result = match block.error.take() {
+            Some(e) => Err(e),
+            None => Ok((
+                block.rows.pop().expect("a clean block holds its row"),
+                block.stats,
+            )),
+        };
+        self.shared.return_spare(block.rows);
+        Ok(Some(RowOutcome {
+            ticket: Ticket::from_id(block.base),
+            worker: block.worker,
+            kernel,
+            result,
+        }))
+    }
+
+    /// The one collect-into-image routine of the batch front ends: drains
+    /// every block of this job into `rows` (each block lands at its image
+    /// rows `lo..`; rows the job does not cover keep what the caller
+    /// placed there), folds the blocks' statistics and the job's
+    /// supervision attribution into `stats`, and builds the image. After
+    /// a row error the remaining blocks are still drained and the first
+    /// error returned; a missed deadline returns at once (the caller drops
+    /// the handle, which abandons the job).
+    pub(crate) fn collect_image(
+        &self,
+        width: u32,
+        mut rows: Vec<RleRow>,
+        mut stats: PipelineStats,
+        start: Instant,
+        deadline: Deadline,
+    ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        let mut first_err = None;
+        let mut placed = 0u64;
+        let next_deadline = || match deadline {
+            Deadline::At(at) => at,
+            Deadline::PerBlock(wait) => Some(Instant::now() + wait),
+        };
+        while let Some(mut block) = self.collect_chunk(next_deadline())? {
+            if let Some(e) = block.error.take() {
+                first_err.get_or_insert(e);
+            }
+            placed += block.rows.len() as u64;
+            stats.rows += block.rows.len();
+            stats.totals.absorb(&block.stats);
+            stats.max_row_iterations = stats.max_row_iterations.max(block.max_row_iterations);
+            for (choice, n) in KernelChoice::ALL.into_iter().zip(block.kernels) {
+                stats.count_kernel(choice, n);
+            }
+            for (slot, row) in rows[block.lo..].iter_mut().zip(block.rows.drain(..)) {
+                *slot = row;
+            }
+            self.shared.return_spare(block.rows);
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        assert_eq!(placed, self.job.rows(), "every row collected");
+        self.fill_supervision(&mut stats);
+        stats.wall = start.elapsed();
+        let image = RleImage::from_rows(width, rows).expect("row widths preserved");
+        Ok((image, stats))
+    }
+
     /// Abandons this job. Queued-but-unstarted chunks are dropped; rows
     /// still held by a (possibly wedged) worker are written off behind
     /// the job's abandoned flag, so their eventual stale delivery is
@@ -1162,7 +1234,7 @@ impl JobHandle {
         if inner.abandoned {
             return;
         }
-        let pending_rows = inner.pending.len();
+        let pending_rows: usize = inner.pending.iter().map(|b| b.len).sum();
         let undelivered = inner.undelivered;
         // Rows neither queued nor pending are held by a worker (possibly
         // wedged): they become stale and are discarded on arrival.
@@ -1355,12 +1427,9 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
     {
         let mut inner = lock(&job.inner);
         if inner.abandoned {
-            let n = chunk.len();
-            inner.stale = inner.stale.saturating_sub(n);
+            inner.stale = inner.stale.saturating_sub(chunk.len());
             drop(inner);
-            for _ in 0..n {
-                decrement(&shared.abandoned_rows);
-            }
+            sub_clamped(&shared.abandoned_rows, chunk.len());
             return;
         }
     }
@@ -1374,18 +1443,13 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
                 });
             }
         }
-        let results = (chunk.lo..chunk.hi)
-            .map(|i| RowResult {
-                ticket: chunk.ticket_of(i),
-                kernel: None,
-                result: Err(SystolicError::RowFailed {
-                    row: chunk.ticket_of(i),
-                    attempts: chunk.attempts,
-                    cause: "worker thread died while processing the row".into(),
-                }),
-            })
-            .collect();
-        shared.deliver(worker, &job, results);
+        let mut block = chunk.outcome(worker, Vec::new());
+        block.error = Some(SystolicError::RowFailed {
+            row: chunk.base,
+            attempts: chunk.attempts,
+            cause: "worker thread died while processing the row".into(),
+        });
+        shared.deliver(&job, block);
     } else {
         shared.retries.fetch_add(1, Ordering::Relaxed);
         job.retries.fetch_add(1, Ordering::Relaxed);
@@ -1428,8 +1492,8 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             Instant::now()
         });
 
-        let mut out = shared.take_spare(&chunk.job);
-        out.reserve(chunk.len());
+        let mut block = chunk.outcome(worker, shared.take_spare(&chunk.job));
+        block.rows.reserve(chunk.len());
         // Index and panic message of the row that crashed this chunk, if
         // any; rows before it are discarded and recomputed on retry so a
         // chunk's results are all-or-nothing (keeps stats totals exact).
@@ -1447,12 +1511,13 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     // Exit with the chunk still parked in the checkout
                     // slot: the supervisor must notice the dead thread
                     // and recover the orphan. Injected death is
-                    // cooperative, so the rows already diffed into `out`
-                    // can be booked as discarded (a real crash can't do
-                    // this; `rows_discarded` is a lower bound there).
+                    // cooperative, so the rows already diffed into the
+                    // block can be booked as discarded (a real crash
+                    // can't do this; `rows_discarded` is a lower bound
+                    // there).
                     Fault::Die => {
                         if let Some(obs) = &shared.obs {
-                            obs.metrics.rows_discarded.add(out.len() as u64);
+                            obs.metrics.rows_discarded.add(block.rows.len() as u64);
                         }
                         return;
                     }
@@ -1478,43 +1543,33 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             match attempt {
                 // Kernel errors (e.g. a width mismatch) are per-row
                 // outcomes; the rest of the chunk proceeds.
-                Ok(result) => {
+                Ok(Ok((row, stats, choice))) => {
                     if let Some(obs) = &shared.obs {
-                        match &result {
-                            Ok((_, stats, choice)) => {
-                                let latency_ns =
-                                    row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                let runs = (stats.k1 + stats.k2) as u64;
-                                obs.metrics.rows_diffed.inc();
-                                match choice {
-                                    KernelChoice::FastPath => obs.metrics.rows_fast_path.inc(),
-                                    KernelChoice::Rle => obs.metrics.rows_rle_kernel.inc(),
-                                    KernelChoice::Packed => obs.metrics.rows_packed_kernel.inc(),
-                                    KernelChoice::Systolic => {
-                                        obs.metrics.rows_systolic_kernel.inc();
-                                    }
-                                }
-                                obs.metrics.row_latency_ns.record(latency_ns);
-                                obs.metrics.row_runs.record(runs);
-                                obs.record(TraceKind::Kernel {
-                                    ticket,
-                                    worker: worker as u32,
-                                    choice: *choice,
-                                    runs,
-                                    latency_ns,
-                                });
-                            }
-                            Err(_) => {
-                                obs.metrics.rows_kernel_errors.inc();
-                                obs.record(TraceKind::RowError { ticket });
-                            }
-                        }
+                        let latency_ns = row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                        let runs = (stats.k1 + stats.k2) as u64;
+                        obs.metrics.rows_diffed.inc();
+                        obs.metrics.kernel_counter(choice).inc();
+                        obs.metrics.row_latency_ns.record(latency_ns);
+                        obs.metrics.row_runs.record(runs);
+                        obs.record(TraceKind::Kernel {
+                            ticket,
+                            worker: worker as u32,
+                            choice,
+                            runs,
+                            latency_ns,
+                        });
                     }
-                    out.push(RowResult {
-                        ticket,
-                        kernel: result.as_ref().ok().map(|(_, _, choice)| *choice),
-                        result: result.map(|(row, stats, _)| (row, stats)),
-                    });
+                    block.stats.absorb(&stats);
+                    block.max_row_iterations = block.max_row_iterations.max(stats.iterations);
+                    block.kernels[choice as usize] += 1;
+                    block.rows.push(row);
+                }
+                Ok(Err(e)) => {
+                    if let Some(obs) = &shared.obs {
+                        obs.metrics.rows_kernel_errors.inc();
+                        obs.record(TraceKind::RowError { ticket });
+                    }
+                    block.error.get_or_insert(e);
                 }
                 Err(payload) => {
                     scratch.discard_poisoned();
@@ -1533,21 +1588,21 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     obs.metrics.chunk_latency_ns.record(latency_ns);
                     obs.record(TraceKind::ChunkDone {
                         chunk: chunk.base,
-                        rows: out.len() as u32,
+                        rows: block.len as u32,
                         worker: worker as u32,
                         latency_ns,
                     });
                 }
-                shared.deliver(worker, &chunk.job, out);
+                shared.deliver(&chunk.job, block);
             }
             Some((culprit, cause)) => {
                 // The partial results are all-or-nothing casualties:
                 // their rows were diffed (and counted) but will be
                 // diffed again.
                 if let Some(obs) = &shared.obs {
-                    obs.metrics.rows_discarded.add(out.len() as u64);
+                    obs.metrics.rows_discarded.add(block.rows.len() as u64);
                 }
-                shared.return_spare(out);
+                shared.return_spare(block.rows);
                 *lock(&shared.shards[worker].running) = None;
                 let mut chunk = chunk;
                 chunk.attempts += 1;
@@ -1561,20 +1616,15 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                             attempts: chunk.attempts,
                         });
                     }
-                    let job = Arc::clone(&chunk.job);
-                    shared.deliver(
-                        worker,
-                        &job,
-                        vec![RowResult {
-                            ticket,
-                            kernel: None,
-                            result: Err(SystolicError::RowFailed {
-                                row: ticket,
-                                attempts: chunk.attempts,
-                                cause,
-                            }),
-                        }],
-                    );
+                    let mut failed = chunk
+                        .slice(culprit, culprit + 1)
+                        .outcome(worker, Vec::new());
+                    failed.error = Some(SystolicError::RowFailed {
+                        row: ticket,
+                        attempts: chunk.attempts,
+                        cause,
+                    });
+                    shared.deliver(&chunk.job, failed);
                     if culprit > chunk.lo {
                         shared.push_chunk(worker, chunk.slice(chunk.lo, culprit));
                     }
@@ -1721,9 +1771,10 @@ mod tests {
         let small = exec.diff_pair(&small_a, &small_b, None).unwrap();
         assert_eq!(small.image, small_a.xor(&small_b).unwrap());
         let mut big_ok = 0usize;
-        while let Ok(Some(o)) = big_handle.collect_next(None) {
-            assert!(o.result.is_ok(), "big job rows must all succeed");
-            big_ok += 1;
+        while let Ok(Some(block)) = big_handle.collect_chunk(None) {
+            assert!(block.error.is_none(), "big job rows must all succeed");
+            assert_eq!(block.rows.len(), block.len);
+            big_ok += block.len;
         }
         assert_eq!(big_ok, 1200);
         assert_eq!(exec.in_flight(), 0);
@@ -1755,6 +1806,15 @@ mod tests {
         (exec, a, b)
     }
 
+    /// Waits until `exec` holds delivered-but-uncollected rows.
+    fn await_ready_rows(exec: &DiffExecutor) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while exec.load().ready_chunks == 0 {
+            assert!(Instant::now() < deadline, "no block was delivered");
+            std::thread::yield_now();
+        }
+    }
+
     /// Waits for stale deliveries to drain, then checks that nothing of
     /// the dropped jobs is still counted anywhere and the job ledger
     /// closes.
@@ -1775,8 +1835,14 @@ mod tests {
     #[test]
     fn dropping_an_uncollected_handle_abandons_the_job() {
         let (exec, a, b) = observed_pair();
-        for _ in 0..10 {
-            drop(exec.submit_pair(&a, &b).unwrap());
+        for i in 0..10 {
+            let handle = exec.submit_pair(&a, &b).unwrap();
+            if i % 2 == 0 {
+                // Drop with delivered blocks still pending on the job.
+                await_ready_rows(&exec);
+            }
+            drop(handle);
+            assert_eq!(exec.load().ready_chunks, 0, "pending blocks dropped");
         }
         assert_settled(&exec);
         // The executor still serves.
@@ -1790,9 +1856,9 @@ mod tests {
         let (exec, a, b) = observed_pair();
         for _ in 0..10 {
             let handle = exec.submit_pair(&a, &b).unwrap();
-            for _ in 0..5 {
-                assert!(handle.collect_next(None).unwrap().is_some());
-            }
+            let block = handle.collect_chunk(None).unwrap().expect("a block");
+            assert!(block.len < a.height(), "the job spans several chunks");
+            await_ready_rows(&exec);
         }
         assert_settled(&exec);
     }
@@ -1803,8 +1869,10 @@ mod tests {
         let exec = Arc::new(exec);
         for _ in 0..4 {
             let handle = exec.submit_pair(&a, &b).unwrap();
+            let shared = Arc::clone(&exec);
             let collector = std::thread::spawn(move || {
-                let _ = handle.collect_next(None);
+                let _ = handle.collect_chunk(None);
+                await_ready_rows(&shared);
                 panic!("collector dies holding the handle");
             });
             assert!(collector.join().is_err());

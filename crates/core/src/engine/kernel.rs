@@ -88,6 +88,12 @@ pub enum KernelChoice {
     Systolic,
 }
 
+impl KernelChoice {
+    /// Every choice, in discriminant order (the index of a per-kernel
+    /// tally such as [`crate::engine::executor::ChunkOutcome::kernels`]).
+    pub const ALL: [KernelChoice; 4] = [Self::FastPath, Self::Rle, Self::Packed, Self::Systolic];
+}
+
 /// `Auto` switches from the RLE merge to the packed kernel when
 /// `k1 + k2 > PACKED_RUNS_PER_WORD * ceil(width / 64)`.
 ///

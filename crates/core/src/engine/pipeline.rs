@@ -88,7 +88,7 @@
 //! all engines, all kernels and across injected faults.
 
 use crate::engine::executor::{
-    plan_ranges, ChunkSpec, DiffExecutor, DiffExecutorConfig, JobHandle, RowsSource,
+    plan_ranges, ChunkSpec, Deadline, DiffExecutor, DiffExecutorConfig, JobHandle, RowsSource,
 };
 use crate::engine::kernel::{self, Kernel, KernelChoice, KernelScratch};
 use crate::engine::simd::SimdLevel;
@@ -406,15 +406,6 @@ pub struct PipelineLoad {
     pub abandoned_rows: usize,
 }
 
-/// Deadline policy for one batch run: either the configured per-collect
-/// `row_deadline`, or a hard wall-clock instant for the whole batch (the
-/// per-request deadline network front ends map onto `collect_timeout`).
-#[derive(Clone, Copy, Debug)]
-enum BatchDeadline {
-    Config,
-    Total(Instant),
-}
-
 /// Outcome of the signature prefilter for one batch: the rows resolved
 /// host-side (never planned, submitted or ticketed) together with their
 /// pre-computed results and aggregate statistics.
@@ -598,7 +589,7 @@ impl DiffPipeline {
     /// [`Self::collect_timeout`] to bound that.
     pub fn collect(&mut self) -> Option<RowOutcome> {
         self.streaming
-            .collect_next(None)
+            .collect_row(None)
             .expect("collect without a deadline cannot time out")
     }
 
@@ -611,7 +602,7 @@ impl DiffPipeline {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<RowOutcome>, SystolicError> {
-        self.streaming.collect_next(Some(Instant::now() + timeout))
+        self.streaming.collect_row(Some(Instant::now() + timeout))
     }
 
     /// Collects every in-flight outcome (blocking, with supervision) and
@@ -755,12 +746,7 @@ impl DiffPipeline {
             if let Some(obs) = self.executor.obs() {
                 let latency_ns = row_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 obs.metrics.rows_inline_diffed.inc();
-                match choice {
-                    KernelChoice::FastPath => obs.metrics.rows_fast_path.inc(),
-                    KernelChoice::Rle => obs.metrics.rows_rle_kernel.inc(),
-                    KernelChoice::Packed => obs.metrics.rows_packed_kernel.inc(),
-                    KernelChoice::Systolic => obs.metrics.rows_systolic_kernel.inc(),
-                }
+                obs.metrics.kernel_counter(choice).inc();
                 obs.metrics.row_latency_ns.record(latency_ns);
                 obs.metrics
                     .row_runs
@@ -772,42 +758,6 @@ impl DiffPipeline {
             plan.inline.push((i, row, choice));
         }
         Ok(())
-    }
-
-    /// Plans a batch's chunks over every row not already resolved by the
-    /// prefilter (see [`plan_ranges`]). Returns the chunk specs plus —
-    /// when rows were excluded, so tickets are no longer dense over
-    /// `0..height` — the ticket-offset → image-row mapping reassembly
-    /// needs.
-    fn plan_specs(
-        &self,
-        a: &RleImage,
-        b: &RleImage,
-        resolved: Option<&[bool]>,
-        make_source: impl Fn(usize, usize) -> RowsSource,
-    ) -> (Vec<ChunkSpec>, Option<Vec<usize>>) {
-        let ranges = plan_ranges(
-            a,
-            b,
-            resolved,
-            self.config.chunk_target,
-            self.executor.workers(),
-        );
-        let ticket_rows = resolved.map(|_| {
-            ranges
-                .iter()
-                .flat_map(|&(lo, hi)| lo..hi)
-                .collect::<Vec<usize>>()
-        });
-        let specs = ranges
-            .into_iter()
-            .map(|(lo, hi)| ChunkSpec {
-                lo,
-                hi,
-                source: make_source(lo, hi),
-            })
-            .collect();
-        (specs, ticket_rows)
     }
 
     /// Diffs two images row by row across the pool, reassembling the rows
@@ -833,14 +783,12 @@ impl DiffPipeline {
         a: &RleImage,
         b: &RleImage,
     ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        assert!(self.in_flight() == 0, "diff_images needs an idle pipeline");
-        check_dims(a, b)?;
-        let mut skip = self.prefilter(a, b);
-        self.inline_residual(a, b, &mut skip)?;
-        let (specs, ticket_rows) = self.plan_specs(
+        // The old scheduler cloned each row at submit AND at checkout; the
+        // per-chunk copy keeps only the submit-time clone.
+        let clones_avoided = 2 * a.height() as u64;
+        self.run_batch(
             a,
             b,
-            skip.as_ref().map(|s| s.resolved.as_slice()),
             |lo, hi| {
                 let rows: Vec<(RleRow, RleRow)> = (lo..hi)
                     .map(|i| (a.rows()[i].clone(), b.rows()[i].clone()))
@@ -850,18 +798,8 @@ impl DiffPipeline {
                     first: lo,
                 }
             },
-        );
-        // The old scheduler cloned each row at submit AND at checkout; the
-        // per-chunk copy keeps only the submit-time clone.
-        let clones_avoided = 2 * a.height() as u64;
-        self.run_batch(
-            a.width(),
-            a.height(),
-            specs,
-            ticket_rows,
-            skip,
             clones_avoided,
-            BatchDeadline::Config,
+            self.row_deadline(),
         )
     }
 
@@ -877,29 +815,7 @@ impl DiffPipeline {
         a: &Arc<RleImage>,
         b: &Arc<RleImage>,
     ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        assert!(self.in_flight() == 0, "diff_images needs an idle pipeline");
-        check_dims(a, b)?;
-        let mut skip = self.prefilter(a, b);
-        self.inline_residual(a, b, &mut skip)?;
-        let (specs, ticket_rows) = self.plan_specs(
-            a,
-            b,
-            skip.as_ref().map(|s| s.resolved.as_slice()),
-            |_, _| RowsSource::Shared {
-                a: Arc::clone(a),
-                b: Arc::clone(b),
-            },
-        );
-        let clones_avoided = 4 * a.height() as u64;
-        self.run_batch(
-            a.width(),
-            a.height(),
-            specs,
-            ticket_rows,
-            skip,
-            clones_avoided,
-            BatchDeadline::Config,
-        )
+        self.run_shared(a, b, self.row_deadline())
     }
 
     /// Zero-copy batch with a **per-call wall-clock budget**: the whole
@@ -924,48 +840,53 @@ impl DiffPipeline {
         b: &Arc<RleImage>,
         budget: Duration,
     ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        self.run_shared(a, b, Deadline::At(Some(Instant::now() + budget)))
+    }
+
+    fn run_shared(
+        &mut self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+        deadline: Deadline,
+    ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        let source = |_, _| RowsSource::Shared {
+            a: Arc::clone(a),
+            b: Arc::clone(b),
+        };
+        self.run_batch(a, b, source, 4 * a.height() as u64, deadline)
+    }
+
+    /// Common batch engine: prefilter, inline residual, plan the remaining
+    /// rows into chunks (see [`plan_ranges`]) with `make_source`, submit
+    /// them as one job, and collect it into the image.
+    fn run_batch(
+        &mut self,
+        a: &RleImage,
+        b: &RleImage,
+        make_source: impl Fn(usize, usize) -> RowsSource,
+        clones_avoided: u64,
+        deadline: Deadline,
+    ) -> Result<(RleImage, PipelineStats), SystolicError> {
         assert!(self.in_flight() == 0, "diff_images needs an idle pipeline");
         check_dims(a, b)?;
         let mut skip = self.prefilter(a, b);
         self.inline_residual(a, b, &mut skip)?;
-        let (specs, ticket_rows) = self.plan_specs(
+        let ranges = plan_ranges(
             a,
             b,
             skip.as_ref().map(|s| s.resolved.as_slice()),
-            |_, _| RowsSource::Shared {
-                a: Arc::clone(a),
-                b: Arc::clone(b),
-            },
+            self.config.chunk_target,
+            self.executor.workers(),
         );
-        let clones_avoided = 4 * a.height() as u64;
-        self.run_batch(
-            a.width(),
-            a.height(),
-            specs,
-            ticket_rows,
-            skip,
-            clones_avoided,
-            BatchDeadline::Total(Instant::now() + budget),
-        )
-    }
-
-    /// Common batch engine: submit the planned chunks as one job, collect
-    /// every row, reassemble in ticket order and aggregate statistics.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &mut self,
-        width: u32,
-        height: usize,
-        specs: Vec<ChunkSpec>,
-        ticket_rows: Option<Vec<usize>>,
-        skip: Option<SkipPlan>,
-        clones_avoided: u64,
-        deadline: BatchDeadline,
-    ) -> Result<(RleImage, PipelineStats), SystolicError> {
+        let specs: Vec<ChunkSpec> = ranges
+            .into_iter()
+            .map(|(lo, hi)| ChunkSpec {
+                lo,
+                hi,
+                source: make_source(lo, hi),
+            })
+            .collect();
         let start = Instant::now();
-        let resolved_rows = skip
-            .as_ref()
-            .map_or(0, |s| s.skipped.len() + s.collisions.len() + s.inline.len());
         let mut stats = PipelineStats {
             workers: self.executor.workers(),
             chunks: specs.len(),
@@ -973,98 +894,43 @@ impl DiffPipeline {
             sig_prefilter: self.sig_mode,
             ..Default::default()
         };
-        if let Some(plan) = &skip {
+        // Skipped rows stay empty; chunks cover only unresolved rows.
+        let mut rows = vec![RleRow::new(a.width()); a.height()];
+        if let Some(plan) = skip {
             // Host-resolved rows join the batch's row and ArrayStats
             // ledgers here; they never touch the submit/complete ledgers
             // (nothing was submitted for them).
-            stats.rows += resolved_rows;
+            stats.rows += plan.skipped.len() + plan.collisions.len() + plan.inline.len();
             stats.rows_sig_skipped = plan.skipped.len();
             stats.sig_verified = plan.verified;
             stats.sig_collisions = plan.collisions.len();
             stats.totals.absorb(&plan.stats);
             stats.max_row_iterations = plan.max_inline_iterations;
-            for (_, _, choice) in &plan.inline {
-                match choice {
-                    KernelChoice::FastPath => stats.rows_fast_path += 1,
-                    KernelChoice::Rle => stats.rows_rle_kernel += 1,
-                    KernelChoice::Packed => stats.rows_packed_kernel += 1,
-                    KernelChoice::Systolic => stats.rows_systolic_kernel += 1,
-                }
-            }
-        }
-        if let Some(obs) = self.executor.obs() {
-            if let Some(plan) = &skip {
+            if let Some(obs) = self.executor.obs() {
                 obs.metrics.rows_sig_skipped.add(plan.skipped.len() as u64);
                 for &row in &plan.skipped {
                     obs.record(TraceKind::SigSkip { row: row as u64 });
                 }
             }
+            for (row, diff) in plan.collisions {
+                rows[row] = diff;
+            }
+            for (row, diff, choice) in plan.inline {
+                stats.count_kernel(choice, 1);
+                rows[row] = diff;
+            }
         }
         let handle = self.executor.submit_job(specs);
-        let base = handle.tickets().0;
+        handle.collect_image(a.width(), rows, stats, start, deadline)
+    }
 
-        let mut rows: Vec<Option<RleRow>> = vec![None; height];
-        if let Some(plan) = skip {
-            for &row in &plan.skipped {
-                rows[row] = Some(RleRow::new(width));
-            }
-            for (row, diff) in plan.collisions {
-                rows[row] = Some(diff);
-            }
-            for (row, diff, _) in plan.inline {
-                rows[row] = Some(diff);
-            }
-        }
-        let mut first_err: Option<SystolicError> = None;
-        loop {
-            // The per-collect deadline restarts each iteration (the old
-            // `collect_timeout` semantics); a total budget is a fixed
-            // instant.
-            let collect_deadline = match deadline {
-                BatchDeadline::Config => self.config.row_deadline.map(|t| Instant::now() + t),
-                BatchDeadline::Total(at) => Some(at),
-            };
-            let done = match handle.collect_next(collect_deadline) {
-                Ok(Some(done)) => done,
-                Ok(None) => break,
-                // Dropping the handle abandons the job.
-                Err(e) => return Err(e),
-            };
-            match done.result {
-                Ok((row, row_stats)) => {
-                    stats.totals.absorb(&row_stats);
-                    stats.max_row_iterations = stats.max_row_iterations.max(row_stats.iterations);
-                    stats.rows += 1;
-                    match done.kernel {
-                        Some(KernelChoice::FastPath) => stats.rows_fast_path += 1,
-                        Some(KernelChoice::Rle) => stats.rows_rle_kernel += 1,
-                        Some(KernelChoice::Packed) => stats.rows_packed_kernel += 1,
-                        Some(KernelChoice::Systolic) => stats.rows_systolic_kernel += 1,
-                        None => {}
-                    }
-                    let offset = usize::try_from(done.ticket.id() - base).expect("ticket fits");
-                    let idx = ticket_rows.as_ref().map_or(offset, |tr| tr[offset]);
-                    rows[idx] = Some(row);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        // Supervision attribution comes from the job itself, so stats are
-        // exact even when other jobs interleave on the same executor (the
-        // old global-counter deltas misattributed those).
-        handle.fill_supervision(&mut stats);
-        stats.wall = start.elapsed();
-        let rows: Vec<RleRow> = rows
-            .into_iter()
-            .map(|r| r.expect("every row collected"))
-            .collect();
-        let image = RleImage::from_rows(width, rows).expect("row widths preserved");
-        Ok((image, stats))
+    /// The configured [`DiffPipelineConfig::row_deadline`] policy: a
+    /// per-block wait that restarts for each block (the old
+    /// `collect_timeout` semantics), or no deadline.
+    fn row_deadline(&self) -> Deadline {
+        self.config
+            .row_deadline
+            .map_or(Deadline::At(None), Deadline::PerBlock)
     }
 }
 

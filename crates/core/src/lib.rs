@@ -74,7 +74,7 @@ pub mod stripes;
 pub mod trace;
 
 pub use array::{systolic_xor, SystolicArray};
-pub use engine::executor::{DiffExecutor, DiffExecutorConfig, JobHandle, JobOutcome};
+pub use engine::executor::{ChunkOutcome, DiffExecutor, DiffExecutorConfig, JobHandle, JobOutcome};
 #[cfg(feature = "fault-injection")]
 pub use engine::fault::{Fault, FaultPlan};
 pub use engine::kernel::{Kernel, KernelChoice};

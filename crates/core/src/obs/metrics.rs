@@ -9,6 +9,7 @@
 //! snapshots a *quiescent* pipeline (drained, no rows in flight), where
 //! the accounting identities must hold exactly.
 
+use crate::engine::kernel::KernelChoice;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing `u64` counter.
@@ -281,6 +282,17 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// The kernel-mix counter for rows diffed by `choice`.
+    #[must_use]
+    pub(crate) fn kernel_counter(&self, choice: KernelChoice) -> &Counter {
+        match choice {
+            KernelChoice::FastPath => &self.rows_fast_path,
+            KernelChoice::Rle => &self.rows_rle_kernel,
+            KernelChoice::Packed => &self.rows_packed_kernel,
+            KernelChoice::Systolic => &self.rows_systolic_kernel,
+        }
+    }
+
     /// Copies every metric out. `trace_recorded`/`trace_dropped` are owned
     /// by the trace ring; [`crate::obs::Observer::metrics_snapshot`] fills
     /// them in.

@@ -1,5 +1,7 @@
 //! Instrumentation counters for systolic runs.
 
+use crate::engine::kernel::KernelChoice;
+
 /// Counters accumulated over a full systolic run. `iterations` is the
 /// quantity the paper reports in Figure 5 and Table 1; the rest quantify
 /// data movement and cell activity for the ablation studies.
@@ -177,6 +179,16 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// Books `n` rows diffed by `choice` in the per-kernel counters.
+    pub fn count_kernel(&mut self, choice: KernelChoice, n: usize) {
+        *match choice {
+            KernelChoice::FastPath => &mut self.rows_fast_path,
+            KernelChoice::Rle => &mut self.rows_rle_kernel,
+            KernelChoice::Packed => &mut self.rows_packed_kernel,
+            KernelChoice::Systolic => &mut self.rows_systolic_kernel,
+        } += n;
+    }
+
     /// Rows per second over the batch wall-clock; `None` for an instant or
     /// empty batch.
     #[must_use]

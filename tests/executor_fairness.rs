@@ -37,24 +37,40 @@ fn image_pair(width: u32, height: usize, seed: u64) -> (Arc<RleImage>, Arc<RleIm
     (Arc::new(a), Arc::new(b))
 }
 
-/// Drains a job via [`JobHandle::collect_next`], asserting every ticket
-/// stays inside the handle's own range, and returns the reassembled rows.
+/// Drains a job block by block via [`JobHandle::collect_chunk`],
+/// asserting the result-isolation invariant for every row: its ticket
+/// lies inside the handle's own `[lo, hi)` range, it sits at the image row
+/// its ticket names, and it is delivered exactly once. Returns the rows
+/// reassembled in ticket order.
 fn collect_job(handle: &JobHandle) -> Vec<RleRow> {
     let (lo, hi) = handle.tickets();
     let mut rows: Vec<Option<RleRow>> = vec![None; (hi - lo) as usize];
-    while let Some(outcome) = handle
-        .collect_next(None)
+    while let Some(block) = handle
+        .collect_chunk(None)
         .expect("collect without a deadline cannot time out")
     {
-        let ticket = outcome.ticket.id();
         assert!(
-            (lo..hi).contains(&ticket),
-            "ticket {ticket} leaked into job {} (range {lo}..{hi})",
-            handle.id()
+            block.error.is_none(),
+            "clean run: no row errors: {:?}",
+            block.error
         );
-        let slot = &mut rows[(ticket - lo) as usize];
-        assert!(slot.is_none(), "ticket {ticket} delivered twice");
-        *slot = Some(outcome.result.expect("clean run: no row errors").0);
+        assert_eq!(block.rows.len(), block.len, "a clean block holds every row");
+        for (k, row) in block.rows.into_iter().enumerate() {
+            let ticket = block.base + k as u64;
+            assert!(
+                (lo..hi).contains(&ticket),
+                "ticket {ticket} leaked into job {} (range {lo}..{hi})",
+                handle.id()
+            );
+            assert_eq!(
+                ticket - lo,
+                (block.lo + k) as u64,
+                "row placed off its ticket"
+            );
+            let slot = &mut rows[(ticket - lo) as usize];
+            assert!(slot.is_none(), "ticket {ticket} delivered twice");
+            *slot = Some(row);
+        }
     }
     rows.into_iter()
         .map(|r| r.expect("every ticket delivered exactly once"))
@@ -186,7 +202,7 @@ fn results_route_only_to_the_owning_job_under_churn() {
                     if round % 3 == 2 {
                         // Churn: walk away mid-job. Its rows must be
                         // discarded, never delivered to anyone else.
-                        let _ = handle.collect_next(Some(Instant::now())).map(drop);
+                        let _ = handle.collect_chunk(Some(Instant::now())).map(drop);
                         handle.abandon();
                         continue;
                     }

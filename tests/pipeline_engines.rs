@@ -8,8 +8,14 @@ mod common;
 use common::rle_row;
 use proptest::prelude::*;
 use rle_systolic::rle::{RleImage, RleRow};
+use rle_systolic::systolic_core::engine::kernel::{self, KernelScratch};
 use rle_systolic::systolic_core::image::{xor_image, xor_image_parallel};
-use rle_systolic::systolic_core::{DiffPipeline, DiffPipelineConfig, Kernel};
+use rle_systolic::systolic_core::{
+    DiffExecutorConfig, DiffPipeline, DiffPipelineConfig, Kernel, PipelineStats,
+};
+use rle_systolic::workload::pcb::{inspection_pair, typical_defects, PcbParams};
+use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
+use std::sync::Arc;
 
 const WIDTH: u32 = 512;
 
@@ -98,5 +104,99 @@ fn pipeline_is_reusable_and_stable_across_batches() {
         assert_eq!(first, expected);
         assert_eq!(second, expected, "repeat batch on a warm pool must agree");
         assert_eq!(stats.rows, 16);
+    }
+}
+
+/// The chunk-block path against a single-thread fold of
+/// [`kernel::diff_row`]: for every kernel policy, worker count and pair
+/// shape, `DiffExecutor::diff_pair`, `DiffPipeline::diff_images_shared`
+/// and `DiffPipeline::diff_images` must produce `RleImage::xor` exactly
+/// and the same row count, kernel tallies, summed statistics and slowest
+/// row as the fold.
+#[test]
+fn chunk_blocks_match_a_single_thread_kernel_fold() {
+    let pcb = inspection_pair(
+        &PcbParams {
+            width: 512,
+            height: 96,
+            ..PcbParams::default()
+        },
+        &typical_defects(),
+        7,
+    );
+    let random = |height: usize, seed: u64| {
+        let params = GenParams::for_density(256, 0.3);
+        let a = RowGenerator::new(params, seed).next_image(height);
+        let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.2), seed ^ 0xB10C);
+        (a, b)
+    };
+    // 37 rows in chunks of ~40 runs: a prime height that no chunk count
+    // divides, so the last block is short.
+    let cases = [
+        ("pcb", pcb, None),
+        ("random", random(48, 0xD1FF), None),
+        ("ragged", random(37, 0x0DD), Some(40)),
+    ];
+    for (name, (a, b), chunk_target) in cases {
+        let expected = a.xor(&b).unwrap();
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic] {
+            let mut scratch = KernelScratch::new();
+            let mut fold = PipelineStats::default();
+            for (ra, rb) in a.rows().iter().zip(b.rows()) {
+                let (_, row_stats, choice) =
+                    kernel::diff_row(kernel, &mut scratch, ra, rb).unwrap();
+                fold.rows += 1;
+                fold.totals.absorb(&row_stats);
+                fold.max_row_iterations = fold.max_row_iterations.max(row_stats.iterations);
+                fold.count_kernel(choice, 1);
+            }
+            for threads in [1, 2, 4] {
+                let exec = DiffExecutorConfig {
+                    kernel,
+                    chunk_target,
+                    ..DiffExecutorConfig::new(threads)
+                }
+                .build();
+                let job = exec.diff_pair(&a, &b, None).unwrap();
+                let mut config = DiffPipelineConfig::new(threads).kernel(kernel);
+                config.chunk_target = chunk_target;
+                let mut pipeline = config.build();
+                let shared = pipeline.diff_images_shared(&a, &b).unwrap();
+                let owned = pipeline.diff_images(&a, &b).unwrap();
+                for (front, (image, stats)) in [
+                    ("diff_pair", (job.image, job.stats)),
+                    ("diff_images_shared", shared),
+                    ("diff_images", owned),
+                ] {
+                    let at = format!("{name} {kernel:?} threads={threads} {front}");
+                    assert_eq!(image, expected, "{at}");
+                    assert_eq!(stats.rows, fold.rows, "{at}");
+                    assert_eq!(stats.totals, fold.totals, "{at}");
+                    assert_eq!(stats.max_row_iterations, fold.max_row_iterations, "{at}");
+                    assert_eq!(
+                        [
+                            stats.rows_fast_path,
+                            stats.rows_rle_kernel,
+                            stats.rows_packed_kernel,
+                            stats.rows_systolic_kernel
+                        ],
+                        [
+                            fold.rows_fast_path,
+                            fold.rows_rle_kernel,
+                            fold.rows_packed_kernel,
+                            fold.rows_systolic_kernel
+                        ],
+                        "{at}"
+                    );
+                    if name == "ragged" {
+                        assert!(stats.chunks > 1, "{at}: {}", stats.chunks);
+                        assert_ne!(a.height() % stats.chunks, 0, "{at}");
+                    }
+                }
+                assert_eq!(exec.in_flight(), 0);
+                assert_eq!(pipeline.in_flight(), 0);
+            }
+        }
     }
 }

@@ -307,31 +307,40 @@ fn seeded_pair(height: usize, seed: u64) -> (RleImage, RleImage) {
     (a, b)
 }
 
-/// Drains one job through [`JobHandle::collect_next`], asserting the
-/// result-isolation invariant along the way: every collected ticket lies
-/// inside the handle's own `[lo, hi)` range. Returns the rows reassembled
-/// in ticket order.
+/// Drains a job block by block via [`JobHandle::collect_chunk`],
+/// asserting the result-isolation invariant for every row: its ticket
+/// lies inside the handle's own `[lo, hi)` range, it sits at the image row
+/// its ticket names, and it is delivered exactly once. Returns the rows
+/// reassembled in ticket order.
 fn collect_job(handle: &JobHandle) -> Vec<RleRow> {
     let (lo, hi) = handle.tickets();
     let mut rows: Vec<Option<RleRow>> = vec![None; (hi - lo) as usize];
-    while let Some(outcome) = handle
-        .collect_next(None)
+    while let Some(block) = handle
+        .collect_chunk(None)
         .expect("collect without a deadline cannot time out")
     {
-        let ticket = outcome.ticket.id();
         assert!(
-            (lo..hi).contains(&ticket),
-            "ticket {ticket} leaked into job {} (range {lo}..{hi})",
-            handle.id()
+            block.error.is_none(),
+            "no faults exhaust the retry budget: {:?}",
+            block.error
         );
-        let slot = &mut rows[(ticket - lo) as usize];
-        assert!(slot.is_none(), "ticket {ticket} delivered twice");
-        *slot = Some(
-            outcome
-                .result
-                .expect("no faults exhaust the retry budget")
-                .0,
-        );
+        assert_eq!(block.rows.len(), block.len, "a clean block holds every row");
+        for (k, row) in block.rows.into_iter().enumerate() {
+            let ticket = block.base + k as u64;
+            assert!(
+                (lo..hi).contains(&ticket),
+                "ticket {ticket} leaked into job {} (range {lo}..{hi})",
+                handle.id()
+            );
+            assert_eq!(
+                ticket - lo,
+                (block.lo + k) as u64,
+                "row placed off its ticket"
+            );
+            let slot = &mut rows[(ticket - lo) as usize];
+            assert!(slot.is_none(), "ticket {ticket} delivered twice");
+            *slot = Some(row);
+        }
     }
     rows.into_iter()
         .map(|r| r.expect("every ticket delivered exactly once"))
@@ -445,4 +454,59 @@ fn fault_matrix_across_three_concurrent_jobs_stays_bit_identical() {
         .unwrap();
     assert_eq!(job.image, xor_image(&a, &b).unwrap().0);
     assert_eq!((job.stats.retries, job.stats.respawns), (0, 0));
+}
+
+#[test]
+fn retry_exhaustion_mid_chunk_fails_only_the_culprit_block() {
+    quiet_injected_panics();
+    // One 12-row chunk whose row 5 panics on every attempt: past the
+    // retry budget the culprit surfaces as a one-row failed block, and
+    // its siblings come back as sub-chunk blocks at their own image rows.
+    let (a, b) = seeded_pair(12, 0xB10C);
+    let expected = xor_image(&a, &b).unwrap().0;
+    let executor = DiffExecutorConfig {
+        threads: 2,
+        retry_limit: 1,
+        chunk_target: Some(usize::MAX),
+        fault_plan: Some(FaultPlan::new().panic_on_row_times(5, 10)),
+        ..DiffExecutorConfig::default()
+    }
+    .build();
+    let handle = executor.submit_pair(&Arc::new(a), &Arc::new(b)).unwrap();
+    assert_eq!(handle.chunks(), 1);
+    let mut covered = [false; 12];
+    let mut failed = Vec::new();
+    while let Some(block) = handle.collect_chunk(None).unwrap() {
+        if let Some(err) = block.error {
+            assert!(block.rows.is_empty());
+            failed.push((block.lo, block.len, err));
+            continue;
+        }
+        assert_eq!(block.rows.len(), block.len);
+        for (k, row) in block.rows.iter().enumerate() {
+            let y = block.lo + k;
+            assert_eq!(block.base, handle.tickets().0 + block.lo as u64);
+            assert!(!covered[y], "row {y} delivered twice");
+            covered[y] = true;
+            assert_eq!(row, &expected.rows()[y], "sibling block row {y} misplaced");
+        }
+    }
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    let (lo, len, err) = failed.pop().unwrap();
+    assert_eq!((lo, len), (5, 1), "only the culprit row fails");
+    assert!(
+        matches!(
+            err,
+            SystolicError::RowFailed {
+                row: 5,
+                attempts: 2,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let missing: Vec<usize> = (0..12).filter(|&y| !covered[y]).collect();
+    assert_eq!(missing, vec![5], "every sibling row lands exactly once");
+    assert_eq!(executor.in_flight(), 0);
+    assert_eq!(executor.load().ready_chunks, 0);
 }
