@@ -4,8 +4,8 @@
 //! contiguous ticket range) — instead of a per-batch chunk list drained by
 //! a single collector.
 //!
-//! Many jobs are in flight on one shard set at once. Three layers replace
-//! the old per-batch machinery:
+//! Many jobs are in flight on one shard set at once, through three
+//! layers:
 //!
 //! * **Job-fair scheduling.** Every shard keeps one deque *per job* plus a
 //!   round-robin rotation over the job ids present, so chunks from
@@ -20,10 +20,12 @@
 //!   owning job's completion state (a mutex + condvar pair per job) under
 //!   one lock. There is no shared collector loop, no global pending queue
 //!   and no per-row hand-off. [`JobHandle::collect_chunk`] waits on its
-//!   own job's condvar; the batch front ends (`diff_pair`, `diff_images*`)
-//!   share one collect-into-image routine that places each block at its
-//!   image rows. Concurrent submitters never contend except on the shard
-//!   queues themselves.
+//!   own job's condvar. Both batch front ends,
+//!   [`DiffExecutor::diff_pair`] and [`crate::DiffPipeline::diff_images_shared`],
+//!   run through one batch routine that plans the rows the host has not
+//!   resolved, submits them as one job and places each block at its image
+//!   rows. Concurrent submitters never contend except on the shard queues
+//!   themselves.
 //! * **Job-granular supervision.** A dedicated supervisor thread ticks
 //!   every `SUPERVISION_TICK`, respawns dead workers and recovers the
 //!   orphaned chunk from the dead worker's checkout slot — retried, failed
@@ -31,9 +33,9 @@
 //!   abandoned. Retries, respawns, timeouts, steals and buffer hits are
 //!   counted twice: globally (the lifetime
 //!   [`SupervisionCounters`] / metrics) and on the owning job, which is
-//!   what makes per-job [`PipelineStats`] exact under interleaving — the
-//!   old implementation diffed global counters across a batch and
-//!   misattributed any concurrent job's interventions.
+//!   what makes per-job [`PipelineStats`] exact under interleaving. Each
+//!   supervision event is booked at one site (`Shared::book_retry`,
+//!   `book_respawn`, `book_timeout`).
 //!
 //! Abandonment is per job: an expired job drops its queued chunks, writes
 //! off the rows a wedged worker still holds, and discards their stale
@@ -71,28 +73,13 @@ pub(crate) const CHUNKS_PER_WORKER: usize = 4;
 /// At most this many spare chunk row vectors are kept for reuse.
 const SPARE_POOL_CAP: usize = 64;
 
-/// Where a chunk's row pairs live. Cloning is `Arc`-cheap in both cases,
-/// which is what makes chunk checkout (and retry re-enqueue) free of row
-/// copies.
+/// Where a job's row pairs live: the two images, shared with the caller
+/// and indexed by absolute image row. Cloning is `Arc`-cheap, which is
+/// what makes chunk checkout (and retry re-enqueue) free of row copies.
 #[derive(Clone)]
-pub(crate) enum RowsSource {
-    /// Rows owned by this chunk (streaming submits and the borrowing batch
-    /// API). `first` is the image row the slice starts at, so sub-chunks
-    /// can keep absolute indices.
-    Owned {
-        rows: Arc<[(RleRow, RleRow)]>,
-        first: usize,
-    },
-    /// Rows shared with the caller's images (the zero-copy batch API).
-    /// Indexed by absolute image row.
-    Shared { a: Arc<RleImage>, b: Arc<RleImage> },
-}
-
-/// One planned chunk of a job, before tickets are allocated.
-pub(crate) struct ChunkSpec {
-    pub lo: usize,
-    pub hi: usize,
-    pub source: RowsSource,
+struct RowsSource {
+    a: Arc<RleImage>,
+    b: Arc<RleImage>,
 }
 
 /// A contiguous chunk of one job's row pairs: the scheduling, checkout and
@@ -120,13 +107,7 @@ impl Chunk {
     }
 
     fn row(&self, i: usize) -> (&RleRow, &RleRow) {
-        match &self.source {
-            RowsSource::Owned { rows, first } => {
-                let pair = &rows[i - first];
-                (&pair.0, &pair.1)
-            }
-            RowsSource::Shared { a, b } => (&a.rows()[i], &b.rows()[i]),
-        }
+        (&self.source.a.rows()[i], &self.source.b.rows()[i])
     }
 
     /// A sub-chunk over `[lo, hi)` keeping this chunk's attempt count,
@@ -455,6 +436,49 @@ impl Shared {
         }
     }
 
+    /// Books one chunk re-enqueue after a panic or worker death: the
+    /// lifetime and per-job counters, the registry and the trace.
+    fn book_retry(&self, chunk: &Chunk) {
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        chunk.job.retries.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.metrics.retries.inc();
+            obs.record(TraceKind::Retry {
+                chunk: chunk.base,
+                rows: chunk.len() as u32,
+                attempt: chunk.attempts,
+            });
+        }
+    }
+
+    /// Books one replaced worker thread; `job` owns the chunk the dead
+    /// worker held, if it held one.
+    fn book_respawn(&self, worker: usize, job: Option<&JobState>) {
+        self.respawns.fetch_add(1, Ordering::Relaxed);
+        if let Some(job) = job {
+            job.respawns.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(obs) = &self.obs {
+            obs.metrics.respawns.inc();
+            obs.record(TraceKind::Respawn {
+                worker: worker as u32,
+            });
+        }
+    }
+
+    /// Books one collect deadline expiry on `job` with `in_flight` rows
+    /// still undelivered.
+    fn book_timeout(&self, job: &JobState, in_flight: usize) {
+        self.timeouts.fetch_add(1, Ordering::Relaxed);
+        job.timeouts.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.metrics.timeouts.inc();
+            obs.record(TraceKind::Timeout {
+                in_flight: in_flight as u64,
+            });
+        }
+    }
+
     fn take_spare(&self, job: &JobState) -> Vec<RleRow> {
         let recycled = lock(&self.spare).pop();
         match recycled {
@@ -537,37 +561,48 @@ pub(crate) enum Deadline {
     PerBlock(Duration),
 }
 
-/// `fetch_sub(n)` clamped at zero (mirrors the old collector's
-/// `saturating_sub` robustness against double write-offs).
+/// `fetch_sub(n)` clamped at zero, robust against double write-offs.
 fn sub_clamped(counter: &AtomicUsize, n: usize) {
     let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
         Some(v.saturating_sub(n))
     });
 }
 
-/// Configuration for a [`DiffExecutor`]: the engine-level subset of
-/// [`crate::DiffPipelineConfig`] (the pipeline facade maps the rest —
-/// deadlines, chunk targets, the signature prefilter — onto jobs itself).
+/// Configuration for a [`DiffExecutor`]. A [`crate::DiffPipelineConfig`]
+/// holds one of these for its pool and adds only what is per stream: the
+/// row deadline and the signature prefilter.
 #[derive(Clone, Debug)]
 pub struct DiffExecutorConfig {
     /// Worker threads in the pool (must be > 0).
     pub threads: usize,
-    /// Extra attempts a chunk is granted after a worker panic or death.
+    /// Extra attempts the supervisor grants a chunk whose worker panicked
+    /// or died. A chunk is attempted at most `retry_limit + 1` times before
+    /// its culprit row surfaces as [`SystolicError::RowFailed`].
     pub retry_limit: u32,
-    /// How long [`Drop`] waits for workers before detaching wedged
-    /// threads.
+    /// How long [`Drop`] waits for workers to exit before detaching wedged
+    /// threads instead of joining them (the never-deadlock guarantee).
     pub shutdown_grace: Duration,
-    /// Kernel policy workers diff rows with.
+    /// Kernel policy workers diff rows with (default [`Kernel::Auto`]).
     pub kernel: Kernel,
-    /// SIMD level override (`None` = env / runtime detection).
+    /// SIMD level for the packed kernel's run-comparison scan. `None` (the
+    /// default) resolves from the `SYSTOLIC_SIMD` environment variable,
+    /// falling back to runtime CPU detection. `Some` requests an explicit
+    /// level, clamped down to what the host actually supports — a forced
+    /// level can narrow the choice, never exceed the hardware.
     pub simd: Option<SimdLevel>,
-    /// Target scheduling weight per chunk for [`DiffExecutor::submit_pair`]
-    /// plans, in input runs (`None` derives it per job; see
-    /// [`plan_ranges`]).
+    /// Target scheduling weight per chunk, measured in input runs (each row
+    /// weighs `k1 + k2 + 1`). `None` (the default) derives it from the
+    /// batch: `total_weight / (threads * 4)`, clamped to at least one row —
+    /// and the derived plan is further split until it has at least one
+    /// chunk per worker (an explicit target is honoured exactly).
     pub chunk_target: Option<usize>,
-    /// Observability: attach an [`Observer`] to the executor.
+    /// Observability: `Some` attaches an [`Observer`] (metrics registry +
+    /// trace ring) to the executor. `None` (the default) compiles every
+    /// recording site down to one predictable `if let` branch — no
+    /// timestamps are taken and nothing is recorded.
     pub observe: Option<ObsConfig>,
-    /// Deterministic fault schedule for tests.
+    /// Deterministic fault schedule for tests (see
+    /// [`crate::engine::fault`]).
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<FaultPlan>,
 }
@@ -618,9 +653,21 @@ pub struct JobOutcome {
     /// attributed to *this* job only, exact under interleaving.
     pub stats: PipelineStats,
     /// Submission → first chunk checkout: time the job waited for a
-    /// worker (the executor-level replacement for the old pipeline-mutex
-    /// wait).
+    /// worker.
     pub queue_wait: Duration,
+}
+
+/// The rows of a batch its host resolved before dispatch (signature
+/// skips, caught collisions, the inline residual), handed to
+/// [`DiffExecutor::run_batch`].
+pub(crate) struct HostRows {
+    /// `resolved[i]`: row `i` is already in `rows` and is not planned.
+    pub resolved: Vec<bool>,
+    /// The batch's output rows, resolved ones in place; the rest are
+    /// empty until the job's blocks land.
+    pub rows: Vec<RleRow>,
+    /// The resolved rows' share of the batch statistics.
+    pub stats: PipelineStats,
 }
 
 /// A supervised, shard-scheduled worker pool that runs many independent
@@ -757,10 +804,8 @@ impl DiffExecutor {
     }
 
     /// A point-in-time load snapshot — the admission-control hook.
-    /// `ready_chunks` reports delivered-but-uncollected *rows* under the
-    /// executor (the old per-batch collector counted swept chunk
-    /// messages); an idle executor reports all four fields zero either
-    /// way.
+    /// `ready_chunks` reports delivered-but-uncollected *rows*; an idle
+    /// executor reports all four fields zero.
     #[must_use]
     pub fn load(&self) -> PipelineLoad {
         PipelineLoad {
@@ -808,28 +853,37 @@ impl DiffExecutor {
         }
     }
 
-    /// Submits one job: allocates its id and a contiguous ticket range,
-    /// records the submit ledger, and deals the chunks round-robin across
-    /// the shards. Chunks must cover disjoint ascending row ranges; row
-    /// `specs[j].lo + k` gets the ticket after all rows before it in spec
-    /// order.
-    pub(crate) fn submit_job(&self, specs: Vec<ChunkSpec>) -> JobHandle {
-        let rows: usize = specs.iter().map(|s| s.hi - s.lo).sum();
+    /// Submits one job over `a`/`b`: allocates its id and a contiguous
+    /// ticket range, records the submit ledger, and deals one chunk per
+    /// range round-robin across the shards. Ranges must be disjoint and
+    /// ascending; row `ranges[j].0 + k` gets the ticket after all rows
+    /// before it in range order.
+    fn submit_job(
+        &self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+        ranges: Vec<(usize, usize)>,
+    ) -> JobHandle {
+        let rows: usize = ranges.iter().map(|(lo, hi)| hi - lo).sum();
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let lo = self
             .shared
             .next_ticket
             .fetch_add(rows as u64, Ordering::Relaxed);
-        let job = Arc::new(self.new_job_state(id, lo, lo + rows as u64, specs.len(), true));
-        let mut chunks = Vec::with_capacity(specs.len());
+        let job = Arc::new(self.new_job_state(id, lo, lo + rows as u64, ranges.len(), true));
+        let source = RowsSource {
+            a: Arc::clone(a),
+            b: Arc::clone(b),
+        };
+        let mut chunks = Vec::with_capacity(ranges.len());
         let mut base = lo;
-        for spec in specs {
+        for (lo, hi) in ranges {
             let chunk = Chunk {
                 base,
-                lo: spec.lo,
-                hi: spec.hi,
+                lo,
+                hi,
                 attempts: 0,
-                source: spec.source,
+                source: source.clone(),
                 job: Arc::clone(&job),
             };
             base += chunk.len() as u64;
@@ -888,18 +942,7 @@ impl DiffExecutor {
     ) -> Result<JobHandle, SystolicError> {
         check_dims(a, b)?;
         let ranges = plan_ranges(a, b, None, self.shared.chunk_target, self.workers());
-        let specs = ranges
-            .into_iter()
-            .map(|(lo, hi)| ChunkSpec {
-                lo,
-                hi,
-                source: RowsSource::Shared {
-                    a: Arc::clone(a),
-                    b: Arc::clone(b),
-                },
-            })
-            .collect();
-        Ok(self.submit_job(specs))
+        Ok(self.submit_job(a, b, ranges))
     }
 
     /// Diffs one image pair end to end: plan, submit, collect,
@@ -914,18 +957,44 @@ impl DiffExecutor {
         b: &Arc<RleImage>,
         budget: Option<Duration>,
     ) -> Result<JobOutcome, SystolicError> {
+        let deadline = budget.map(|d| Instant::now() + d);
+        self.run_batch(a, b, None, Deadline::At(deadline))
+    }
+
+    /// The one batch routine: plans the rows `host` has not resolved (all
+    /// of them when `host` is `None`) into chunks, submits them as one
+    /// job, and collects the job into the image around the host's rows.
+    /// On a missed deadline the job's handle is dropped here, which
+    /// abandons the job.
+    pub(crate) fn run_batch(
+        &self,
+        a: &Arc<RleImage>,
+        b: &Arc<RleImage>,
+        host: Option<HostRows>,
+        deadline: Deadline,
+    ) -> Result<JobOutcome, SystolicError> {
         let start = Instant::now();
-        let deadline = budget.map(|d| start + d);
-        let handle = self.submit_pair(a, b)?;
-        let stats = PipelineStats {
-            workers: self.workers(),
-            chunks: handle.chunks(),
-            row_clones_avoided: 4 * a.height() as u64,
-            ..Default::default()
+        check_dims(a, b)?;
+        let (resolved, rows, mut stats) = match host {
+            Some(host) => (Some(host.resolved), host.rows, host.stats),
+            None => (
+                None,
+                vec![RleRow::new(a.width()); a.height()],
+                PipelineStats::default(),
+            ),
         };
-        let rows = vec![RleRow::new(a.width()); a.height()];
-        let (image, stats) =
-            handle.collect_image(a.width(), rows, stats, start, Deadline::At(deadline))?;
+        let ranges = plan_ranges(
+            a,
+            b,
+            resolved.as_deref(),
+            self.shared.chunk_target,
+            self.workers(),
+        );
+        stats.workers = self.workers();
+        stats.chunks = ranges.len();
+        stats.row_clones_avoided = 4 * a.height() as u64;
+        let handle = self.submit_job(a, b, ranges);
+        let (image, stats) = handle.collect_image(a.width(), rows, stats, start, deadline)?;
         Ok(JobOutcome {
             job: handle.id(),
             tickets: handle.tickets(),
@@ -1009,8 +1078,8 @@ impl JobHandle {
 
     /// Copies this job's supervision attribution into `stats` — exact for
     /// this job even when other jobs were interleaving on the same shard
-    /// set (the old global-counter-delta approach misattributed those).
-    pub(crate) fn fill_supervision(&self, stats: &mut PipelineStats) {
+    /// set.
+    fn fill_supervision(&self, stats: &mut PipelineStats) {
         stats.retries = self.job.retries.load(Ordering::Relaxed);
         stats.respawns = self.job.respawns.load(Ordering::Relaxed);
         stats.timeouts = self.job.timeouts.load(Ordering::Relaxed);
@@ -1044,7 +1113,8 @@ impl JobHandle {
     }
 
     /// Enqueues one row pair as a single-row chunk of this (streaming)
-    /// job; returns the row's [`Ticket`]. Never blocks.
+    /// job, each row wrapped in a one-row image; returns the row's
+    /// [`Ticket`]. Never blocks.
     pub(crate) fn submit_row(&self, a: RleRow, b: RleRow) -> Ticket {
         let ticket = self.shared.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
@@ -1058,14 +1128,17 @@ impl JobHandle {
         }
         self.shared.in_flight.fetch_add(1, Ordering::Relaxed);
         self.shared.gauge_in_flight(1);
+        let one_row = |row: RleRow| {
+            Arc::new(RleImage::from_rows(row.width(), vec![row]).expect("a row fits its own width"))
+        };
         let chunk = Chunk {
             base: ticket,
             lo: 0,
             hi: 1,
             attempts: 0,
-            source: RowsSource::Owned {
-                rows: Arc::from(vec![(a, b)]),
-                first: 0,
+            source: RowsSource {
+                a: one_row(a),
+                b: one_row(b),
             },
             job: Arc::clone(&self.job),
         };
@@ -1104,14 +1177,7 @@ impl JobHandle {
                 if now >= d {
                     let in_flight = inner.undelivered;
                     drop(inner);
-                    self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.job.timeouts.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.shared.obs {
-                        obs.metrics.timeouts.inc();
-                        obs.record(TraceKind::Timeout {
-                            in_flight: in_flight as u64,
-                        });
-                    }
+                    self.shared.book_timeout(&self.job, in_flight);
                     return Err(SystolicError::DeadlineExceeded {
                         waited: start.elapsed(),
                         in_flight,
@@ -1160,15 +1226,14 @@ impl JobHandle {
         }))
     }
 
-    /// The one collect-into-image routine of the batch front ends: drains
-    /// every block of this job into `rows` (each block lands at its image
-    /// rows `lo..`; rows the job does not cover keep what the caller
-    /// placed there), folds the blocks' statistics and the job's
+    /// Drains every block of this job into `rows` (each block lands at
+    /// its image rows `lo..`; rows the job does not cover keep what the
+    /// caller placed there), folds the blocks' statistics and the job's
     /// supervision attribution into `stats`, and builds the image. After
     /// a row error the remaining blocks are still drained and the first
     /// error returned; a missed deadline returns at once (the caller drops
     /// the handle, which abandons the job).
-    pub(crate) fn collect_image(
+    fn collect_image(
         &self,
         width: u32,
         mut rows: Vec<RleRow>,
@@ -1404,18 +1469,10 @@ fn supervise(shared: &Arc<Shared>) {
         let replacement = spawn_worker(shared, worker);
         let dead = std::mem::replace(&mut handles[worker], replacement);
         let _ = dead.join();
-        shared.respawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shared.obs {
-            obs.metrics.respawns.inc();
-            obs.record(TraceKind::Respawn {
-                worker: worker as u32,
-            });
+        shared.book_respawn(worker, orphan.as_ref().map(|chunk| &*chunk.job));
+        if let Some(chunk) = orphan {
+            recover_orphan(shared, worker, chunk);
         }
-        let Some(chunk) = orphan else {
-            continue;
-        };
-        chunk.job.respawns.fetch_add(1, Ordering::Relaxed);
-        recover_orphan(shared, worker, chunk);
     }
 }
 
@@ -1451,16 +1508,7 @@ fn recover_orphan(shared: &Arc<Shared>, worker: usize, mut chunk: Chunk) {
         });
         shared.deliver(&job, block);
     } else {
-        shared.retries.fetch_add(1, Ordering::Relaxed);
-        job.retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &shared.obs {
-            obs.metrics.retries.inc();
-            obs.record(TraceKind::Retry {
-                chunk: chunk.base,
-                rows: chunk.len() as u32,
-                attempt: chunk.attempts,
-            });
-        }
+        shared.book_retry(&chunk);
         shared.push_chunk(worker, chunk);
         shared.notify_work_all();
     }
@@ -1633,16 +1681,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     }
                     shared.notify_work_all();
                 } else {
-                    shared.retries.fetch_add(1, Ordering::Relaxed);
-                    chunk.job.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &shared.obs {
-                        obs.metrics.retries.inc();
-                        obs.record(TraceKind::Retry {
-                            chunk: chunk.base,
-                            rows: chunk.len() as u32,
-                            attempt: chunk.attempts,
-                        });
-                    }
+                    shared.book_retry(&chunk);
                     shared.push_chunk(worker, chunk);
                     shared.notify_work_one();
                 }

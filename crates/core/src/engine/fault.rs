@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] maps **ticket ids** (the submission sequence numbers
 //! carried by [`crate::engine::pipeline::Ticket`]; for a fresh pipeline's
-//! first `diff_images` call, ticket `n` is row `n`) to faults a worker
+//! first `diff_images_shared` call, ticket `n` is row `n`) to faults a worker
 //! triggers the moment it picks that row up. Faults are keyed by the
 //! ticket, not the worker, so a plan reproduces the same failure
 //! regardless of which thread wins the race for the row — every

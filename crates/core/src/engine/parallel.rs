@@ -20,12 +20,12 @@
 
 use crate::array::SystolicArray;
 use crate::cell::{step1_order, step2_xor, OrderEvent, XorEvent};
+use crate::engine::pipeline::lock;
 use crate::error::SystolicError;
 use crate::stats::ArrayStats;
-use parking_lot::Mutex;
 use rle::Run;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 /// Cells below which a chunk is not worth a dedicated thread; tiny arrays
 /// fall back to the sequential engine.
@@ -79,7 +79,7 @@ pub fn run_parallel(array: &mut SystolicArray, threads: usize) -> Result<(), Sys
     let mut iterations = 0u64;
     let mut locals: Vec<LocalStats> = Vec::new();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = small_chunks
             .into_iter()
             .zip(big_chunks)
@@ -89,7 +89,7 @@ pub fn run_parallel(array: &mut SystolicArray, threads: usize) -> Result<(), Sys
                 let occupied_total = &occupied_total;
                 let carries = &carries;
                 let failure = &failure;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     worker(
                         t,
                         num_chunks,
@@ -110,10 +110,9 @@ pub fn run_parallel(array: &mut SystolicArray, threads: usize) -> Result<(), Sys
             iterations = iters; // every worker reports the same count
             locals.push(local);
         }
-    })
-    .expect("systolic scope panicked");
+    });
 
-    if let Some(err) = failure.into_inner() {
+    if let Some(err) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(err);
     }
 
@@ -178,7 +177,7 @@ fn worker(
             }
         }
         occupied_total.fetch_add(occupied, Ordering::Relaxed);
-        *carries[t].lock() = big.last().copied().flatten();
+        *lock(&carries[t]) = big.last().copied().flatten();
 
         barrier.wait();
         iterations += 1; // steps 1–2 of this iteration are now complete
@@ -193,26 +192,22 @@ fn worker(
             break;
         }
         if iterations >= bound {
-            failure
-                .lock()
-                .get_or_insert(SystolicError::IterationBound { bound });
+            lock(failure).get_or_insert(SystolicError::IterationBound { bound });
             break;
         }
-        if carries[num_chunks - 1].lock().is_some() {
+        if lock(&carries[num_chunks - 1]).is_some() {
             // The run at the array's end would fall off — Corollary 1.2
             // says this cannot happen at default capacity. (The last chunk
             // may be shorter than the others, so the array's size must be
             // reported from the shared total, not `t * small.len()`.)
             if last_chunk {
-                failure
-                    .lock()
-                    .get_or_insert(SystolicError::Overflow { cells: total_cells });
+                lock(failure).get_or_insert(SystolicError::Overflow { cells: total_cells });
             }
             break;
         }
 
         local.run_shifts += occupied;
-        let carry_in = if t == 0 { None } else { *carries[t - 1].lock() };
+        let carry_in = if t == 0 { None } else { *lock(&carries[t - 1]) };
         for i in (1..big.len()).rev() {
             big[i] = big[i - 1];
         }

@@ -8,29 +8,33 @@
 //! its own rows, exactly like a rack of systolic chips scanning different
 //! board regions.
 //!
-//! Since the executor refactor, `DiffPipeline` owns a private
-//! [`DiffExecutor`] and submits every batch as one *job* (and its
+//! `DiffPipeline` owns a private [`DiffExecutor`] and runs every batch
+//! through the executor's one batch routine as one *job* (and its
 //! streaming rows through one persistent job). The worker pool, sharded
-//! work-stealing scheduler, supervision layer and observability ledger
-//! all live in the executor; what remains here is the image-level
-//! front end:
+//! work-stealing scheduler, chunk planner, supervision layer and
+//! observability ledger all live in the executor; what remains here is
+//! per stream:
 //!
-//! * **Zero-copy submission.** Batch jobs reference the input images
-//!   through `Arc`s ([`DiffPipeline::diff_images_shared`] shares the
-//!   caller's images outright; [`DiffPipeline::diff_images`] clones each
-//!   row once into per-chunk storage). Checking a chunk out for
-//!   supervision clones an `Arc`, never row data.
+//! * **Signature prefilter.** Before planning, matching per-row
+//!   signatures can resolve unchanged rows host-side (see
+//!   [`DiffPipelineConfig::signature_prefilter`]), with an adaptive
+//!   bypass driven by the previous batch's skip rate and paranoid
+//!   verification.
+//! * **Inline residual.** When the prefilter leaves only a handful of
+//!   rows, they are diffed on the host, skipping the pool round-trip
+//!   entirely.
+//!
+//! Everything else is the executor's:
+//!
+//! * **Zero-copy submission.** Batch jobs reference the caller's images
+//!   through `Arc`s ([`DiffPipeline::diff_images_shared`]); checking a
+//!   chunk out for supervision clones an `Arc`, never row data.
 //! * **Batched, cost-aware chunking.** The planner splits the image into
 //!   contiguous row chunks weighted by per-row run counts (target
 //!   `~total_runs / (threads * 4)` runs per chunk, overridable via
 //!   [`DiffPipelineConfig::chunk_target`]). Derived plans are additionally
 //!   split until every worker has at least one chunk, so a skewed image
 //!   can never idle most of the pool.
-//! * **Signature prefilter.** Before planning, matching per-row
-//!   signatures can resolve unchanged rows host-side (see
-//!   [`DiffPipelineConfig::signature_prefilter`]), with an adaptive
-//!   bypass, paranoid verification, and an inline path for tiny
-//!   residuals that skips the pool round-trip entirely.
 //! * **Adaptive kernels.** Each worker diffs rows through
 //!   [`crate::engine::kernel::diff_row`] on per-worker reusable scratch
 //!   ([`KernelScratch`]): trivial rows short-circuit, sparse rows take the
@@ -49,8 +53,8 @@
 //! The pool is built for the continuous-inspection service the paper
 //! targets, where one crashed row must not take down the line. The *chunk*
 //! is the checkout and retry unit; every row inside it keeps its own
-//! ticket, so per-row fault accounting (and the deterministic
-//! [`FaultPlan`]) is unchanged from PR 2:
+//! ticket, so per-row fault accounting (and the deterministic fault
+//! schedules of `engine::fault`) address rows by ticket:
 //!
 //! * **Caught panics.** Each row runs inside `catch_unwind`; a panicking
 //!   row discards the worker's (possibly corrupt) kernel state and its
@@ -65,7 +69,7 @@
 //!   slot — re-enqueued, or failed past the retry budget.
 //! * **Stalls and deadlines.** [`DiffPipeline::collect_timeout`] (and the
 //!   per-row deadline of [`DiffPipelineConfig::row_deadline`], honoured by
-//!   the batch front-ends) bounds how long a wedged worker can hold the
+//!   the batch front-end) bounds how long a wedged worker can hold the
 //!   caller, returning [`SystolicError::DeadlineExceeded`] instead of
 //!   hanging. An aborted batch *abandons* its job: the pipeline reports
 //!   idle again immediately ([`DiffPipeline::in_flight`] drops to 0,
@@ -87,9 +91,7 @@
 //! and the per-row algorithm change. The test-suite asserts this across
 //! all engines, all kernels and across injected faults.
 
-use crate::engine::executor::{
-    plan_ranges, ChunkSpec, Deadline, DiffExecutor, DiffExecutorConfig, JobHandle, RowsSource,
-};
+use crate::engine::executor::{Deadline, DiffExecutor, DiffExecutorConfig, HostRows, JobHandle};
 use crate::engine::kernel::{self, Kernel, KernelChoice, KernelScratch};
 use crate::engine::simd::SimdLevel;
 use crate::error::SystolicError;
@@ -158,46 +160,25 @@ pub struct RowOutcome {
     pub result: Result<(RleRow, ArrayStats), SystolicError>,
 }
 
-/// Configuration for a supervised [`DiffPipeline`].
+/// Configuration for a supervised [`DiffPipeline`]: the executor it runs
+/// on plus the per-stream settings — the row deadline and the signature
+/// prefilter.
 #[derive(Clone, Debug)]
 pub struct DiffPipelineConfig {
-    /// Worker threads in the pool (must be > 0).
-    pub threads: usize,
-    /// Extra attempts the supervisor grants a chunk whose worker panicked
-    /// or died. A chunk is attempted at most `retry_limit + 1` times before
-    /// its culprit row surfaces as [`SystolicError::RowFailed`].
-    pub retry_limit: u32,
-    /// Per-row collection deadline honoured by the batch front-ends: the
-    /// longest they wait for the *next* completed chunk before giving up
+    /// The worker pool: threads, retry budget, shutdown grace, kernel
+    /// policy, SIMD level, chunk target, observability and (test builds)
+    /// the fault plan. The builder methods of the same names write
+    /// through to it.
+    pub executor: DiffExecutorConfig,
+    /// Per-row collection deadline honoured by the batch front-end: the
+    /// longest it waits for the *next* completed chunk before giving up
     /// with [`SystolicError::DeadlineExceeded`]. `None` (the default) waits
     /// indefinitely (supervision still recovers dead workers; only genuine
     /// stalls can block).
     pub row_deadline: Option<Duration>,
-    /// How long [`Drop`] waits for workers to exit before detaching wedged
-    /// threads instead of joining them (the never-deadlock guarantee).
-    pub shutdown_grace: Duration,
-    /// Kernel policy workers diff rows with (default [`Kernel::Auto`]).
-    pub kernel: Kernel,
-    /// SIMD level for the packed kernel's run-comparison scan. `None` (the
-    /// default) resolves from the `SYSTOLIC_SIMD` environment variable,
-    /// falling back to runtime CPU detection. `Some` requests an explicit
-    /// level, clamped down to what the host actually supports — a forced
-    /// level can narrow the choice, never exceed the hardware.
-    pub simd: Option<SimdLevel>,
-    /// Target scheduling weight per chunk, measured in input runs (each row
-    /// weighs `k1 + k2 + 1`). `None` (the default) derives it from the
-    /// batch: `total_weight / (threads * 4)`, clamped to at least one row —
-    /// and the derived plan is further split until it has at least one
-    /// chunk per worker (an explicit target is honoured exactly).
-    pub chunk_target: Option<usize>,
-    /// Observability: `Some` attaches an [`crate::obs::Observer`] (metrics
-    /// registry + trace ring) to the pipeline. `None` (the default)
-    /// compiles every recording site down to one predictable `if let`
-    /// branch — no timestamps are taken and nothing is recorded.
-    pub observe: Option<ObsConfig>,
     /// Signature prefilter (default off): before planning chunks, the batch
-    /// front-ends compare the two images' cached per-row signatures
-    /// ([`rle::RleRow::signature`]) and resolve every matching row
+    /// front-end compares the two images' cached per-row signatures
+    /// ([`rle::RleRow::signature`]) and resolves every matching row
     /// host-side as an empty diff — no submit, no checkout round-trip, no
     /// kernel. Skips surface in [`PipelineStats::rows_sig_skipped`], the
     /// `rows_sig_skipped` metric and `sig_skip` trace events. Equal rows
@@ -215,11 +196,10 @@ pub struct DiffPipelineConfig {
     /// keep measuring, so the prefilter re-arms the moment churn drops
     /// again. `0.75` matches the measured break-even: above ~25 % churn
     /// the prefilter's bookkeeping costs more than it saves (the
-    /// BENCH_delta sweep), which used to be a footgun callers had to
-    /// know about. Set `0.0` to disable adaptation (always resolve
-    /// skips, the pre-adaptive behaviour). The first batch after build
-    /// always runs the prefilter (there is no rate to adapt to yet);
-    /// the engaged mode is reported in [`PipelineStats::sig_prefilter`].
+    /// BENCH_delta sweep). Set `0.0` to disable adaptation (always
+    /// resolve skips). The first batch after build always runs the
+    /// prefilter (there is no rate to adapt to yet); the engaged mode is
+    /// reported in [`PipelineStats::sig_prefilter`].
     pub sig_prefilter_min_skip_rate: f64,
     /// Paranoid mode for the prefilter (default off): cross-check a
     /// deterministic sample of signature skips (the first of each batch,
@@ -228,10 +208,6 @@ pub struct DiffPipelineConfig {
     /// substitutes the reference diff for the empty row (the output stays
     /// exact) and counts in [`PipelineStats::sig_collisions`].
     pub verify_signatures: bool,
-    /// Deterministic fault schedule for tests (see
-    /// [`crate::engine::fault`]).
-    #[cfg(feature = "fault-injection")]
-    pub fault_plan: Option<FaultPlan>,
     /// Test hook: image rows whose signature comparison is forced to
     /// "equal" even when the rows differ — a synthetic 64-bit collision,
     /// used by the false-skip drill to prove what [`Self::verify_signatures`]
@@ -243,19 +219,11 @@ pub struct DiffPipelineConfig {
 impl Default for DiffPipelineConfig {
     fn default() -> Self {
         Self {
-            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            retry_limit: 2,
+            executor: DiffExecutorConfig::default(),
             row_deadline: None,
-            shutdown_grace: Duration::from_millis(500),
-            kernel: Kernel::Auto,
-            simd: None,
-            chunk_target: None,
-            observe: None,
             signature_prefilter: false,
             sig_prefilter_min_skip_rate: 0.75,
             verify_signatures: false,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: None,
             #[cfg(feature = "fault-injection")]
             fault_sig_collisions: Vec::new(),
         }
@@ -267,15 +235,15 @@ impl DiffPipelineConfig {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self {
-            threads,
+            executor: DiffExecutorConfig::new(threads),
             ..Self::default()
         }
     }
 
-    /// Sets the retry budget (see [`Self::retry_limit`]).
+    /// Sets the retry budget (see [`DiffExecutorConfig::retry_limit`]).
     #[must_use]
     pub fn retry_limit(mut self, retries: u32) -> Self {
-        self.retry_limit = retries;
+        self.executor.retry_limit = retries;
         self
     }
 
@@ -286,31 +254,33 @@ impl DiffPipelineConfig {
         self
     }
 
-    /// Sets the shutdown grace period (see [`Self::shutdown_grace`]).
+    /// Sets the shutdown grace period (see
+    /// [`DiffExecutorConfig::shutdown_grace`]).
     #[must_use]
     pub fn shutdown_grace(mut self, grace: Duration) -> Self {
-        self.shutdown_grace = grace;
+        self.executor.shutdown_grace = grace;
         self
     }
 
-    /// Sets the kernel policy (see [`Self::kernel`]).
+    /// Sets the kernel policy (see [`DiffExecutorConfig::kernel`]).
     #[must_use]
     pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
+        self.executor.kernel = kernel;
         self
     }
 
-    /// Requests an explicit SIMD level (see [`Self::simd`]).
+    /// Requests an explicit SIMD level (see [`DiffExecutorConfig::simd`]).
     #[must_use]
     pub fn simd(mut self, level: SimdLevel) -> Self {
-        self.simd = Some(level);
+        self.executor.simd = Some(level);
         self
     }
 
-    /// Sets the chunk scheduling weight (see [`Self::chunk_target`]).
+    /// Sets the chunk scheduling weight (see
+    /// [`DiffExecutorConfig::chunk_target`]).
     #[must_use]
     pub fn chunk_target(mut self, runs_per_chunk: usize) -> Self {
-        self.chunk_target = Some(runs_per_chunk);
+        self.executor.chunk_target = Some(runs_per_chunk);
         self
     }
 
@@ -348,17 +318,18 @@ impl DiffPipelineConfig {
     }
 
     /// Enables observability with the default settings (see
-    /// [`Self::observe`]).
+    /// [`DiffExecutorConfig::observe`]).
     #[must_use]
     pub fn observe(mut self) -> Self {
-        self.observe = Some(ObsConfig::default());
+        self.executor.observe = Some(ObsConfig::default());
         self
     }
 
-    /// Enables observability with explicit settings (see [`Self::observe`]).
+    /// Enables observability with explicit settings (see
+    /// [`DiffExecutorConfig::observe`]).
     #[must_use]
     pub fn observe_with(mut self, obs: ObsConfig) -> Self {
-        self.observe = Some(obs);
+        self.executor.observe = Some(obs);
         self
     }
 
@@ -366,7 +337,7 @@ impl DiffPipelineConfig {
     #[cfg(feature = "fault-injection")]
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.executor.fault_plan = Some(plan);
         self
     }
 
@@ -406,35 +377,10 @@ pub struct PipelineLoad {
     pub abandoned_rows: usize,
 }
 
-/// Outcome of the signature prefilter for one batch: the rows resolved
-/// host-side (never planned, submitted or ticketed) together with their
-/// pre-computed results and aggregate statistics.
-struct SkipPlan {
-    /// `resolved[i]` — row `i` is handled host-side; the chunk planner
-    /// must not include it.
-    resolved: Vec<bool>,
-    /// Rows skipped on a signature match (empty diff), in row order.
-    skipped: Vec<usize>,
-    /// Collisions caught by paranoid mode: the row's reference diff
-    /// replaces the (wrong) empty row.
-    collisions: Vec<(usize, RleRow)>,
-    /// Residual rows diffed inline on the host (small-batch shortcut; see
-    /// [`INLINE_RESIDUAL_ROWS`]) with the kernel that ran each.
-    inline: Vec<(usize, RleRow, KernelChoice)>,
-    /// Largest per-row iteration count among the inline rows, folded into
-    /// [`PipelineStats::max_row_iterations`].
-    max_inline_iterations: u64,
-    /// Aggregate [`ArrayStats`] contribution of every resolved row
-    /// (`k1`/`k2` input sizes; zero iterations — no array ran).
-    stats: ArrayStats,
-    /// Skips cross-checked against the reference XOR and confirmed.
-    verified: usize,
-}
-
 /// A persistent, supervised pool of row-diff workers (see the module
-/// docs) — since the executor refactor, a single-submitter facade over a
-/// private [`DiffExecutor`]: each batch runs as one job, and streaming
-/// rows flow through one persistent job.
+/// docs): a single-submitter facade over a private [`DiffExecutor`] —
+/// each batch runs as one job, and streaming rows flow through one
+/// persistent job.
 ///
 /// Dropping the pipeline drains the remaining queue and joins every worker
 /// that exits within [`DiffPipelineConfig::shutdown_grace`]; wedged workers
@@ -453,9 +399,6 @@ pub struct DiffPipeline {
     /// total rows), driving the adaptive prefilter bypass. `None` until a
     /// non-empty batch has been measured.
     sig_skip_rate: Option<f64>,
-    /// How the prefilter engaged for the batch currently being planned;
-    /// copied into [`PipelineStats::sig_prefilter`] by `run_batch`.
-    sig_mode: SigPrefilterMode,
 }
 
 impl std::fmt::Debug for DiffPipeline {
@@ -485,21 +428,10 @@ impl DiffPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if `config.threads == 0`.
+    /// Panics if `config.executor.threads == 0`.
     #[must_use]
     pub fn with_config(config: DiffPipelineConfig) -> Self {
-        let executor = DiffExecutorConfig {
-            threads: config.threads,
-            retry_limit: config.retry_limit,
-            shutdown_grace: config.shutdown_grace,
-            kernel: config.kernel,
-            simd: config.simd,
-            chunk_target: config.chunk_target,
-            observe: config.observe,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: config.fault_plan.clone(),
-        }
-        .build();
+        let executor = config.executor.clone().build();
         let streaming = executor.streaming_job();
         let host_scratch = KernelScratch::with_simd(executor.simd_level());
         Self {
@@ -508,7 +440,6 @@ impl DiffPipeline {
             config,
             host_scratch,
             sig_skip_rate: None,
-            sig_mode: SigPrefilterMode::Off,
         }
     }
 
@@ -620,95 +551,82 @@ impl DiffPipeline {
         out
     }
 
-    /// Runs the signature prefilter over a batch's rows, if enabled.
-    /// `None` means "plan every row" — either the prefilter is off, the
-    /// kernel policy demands exact per-row statistics, the adaptive
-    /// bypass is engaged (previous batch's skip rate below
+    /// Whether row `i`'s cached signatures match (or a test build forces
+    /// a collision there).
+    fn signatures_match(&self, a: &RleImage, b: &RleImage, i: usize) -> bool {
+        let matches = a.rows()[i].signature() == b.rows()[i].signature();
+        #[cfg(feature = "fault-injection")]
+        let matches = matches || self.config.fault_sig_collisions.contains(&i);
+        matches
+    }
+
+    /// Runs the signature prefilter over a batch's rows, if enabled, and
+    /// reports how it engaged. The resolved rows are `None` — "plan every
+    /// row" — when the prefilter is off, the kernel policy demands exact
+    /// per-row statistics, the adaptive bypass is engaged (previous
+    /// batch's skip rate below
     /// [`DiffPipelineConfig::sig_prefilter_min_skip_rate`]), or no row
-    /// matched. Records this batch's observed match rate either way so
-    /// the next batch adapts.
-    fn prefilter(&mut self, a: &RleImage, b: &RleImage) -> Option<SkipPlan> {
-        if !self.config.signature_prefilter || self.config.kernel == Kernel::Systolic {
-            self.sig_mode = SigPrefilterMode::Off;
-            return None;
+    /// matched. Either way the signatures are compared and this batch's
+    /// match rate recorded, so a bypassed prefilter re-arms as soon as the
+    /// sequence calms down.
+    fn prefilter(&mut self, a: &RleImage, b: &RleImage) -> (SigPrefilterMode, Option<HostRows>) {
+        if !self.config.signature_prefilter || self.executor.kernel() == Kernel::Systolic {
+            return (SigPrefilterMode::Off, None);
         }
         let height = a.height();
         let threshold = self.config.sig_prefilter_min_skip_rate;
-        if threshold > 0.0 && self.sig_skip_rate.is_some_and(|rate| rate < threshold) {
-            // Bypass: the last batch churned too much for skip resolution
-            // to pay for itself. Still compare the cached signatures — one
-            // u64 equality per row — so the rate stays measured and the
-            // prefilter re-arms as soon as the sequence calms down.
-            self.sig_mode = SigPrefilterMode::Bypassed;
-            let mut matched = 0usize;
-            for i in 0..height {
-                let matches = a.rows()[i].signature() == b.rows()[i].signature();
-                #[cfg(feature = "fault-injection")]
-                let matches = matches || self.config.fault_sig_collisions.contains(&i);
-                if matches {
-                    matched += 1;
-                }
-            }
-            if height > 0 {
-                self.sig_skip_rate = Some(matched as f64 / height as f64);
-            }
-            return None;
-        }
-        self.sig_mode = SigPrefilterMode::Active;
-        let mut plan = SkipPlan {
+        let bypass = threshold > 0.0 && self.sig_skip_rate.is_some_and(|rate| rate < threshold);
+        let mut host = (!bypass).then(|| HostRows {
             resolved: vec![false; height],
-            skipped: Vec::new(),
-            collisions: Vec::new(),
-            inline: Vec::new(),
-            max_inline_iterations: 0,
-            stats: ArrayStats::default(),
-            verified: 0,
-        };
-        for i in 0..height {
-            let (ra, rb) = (&a.rows()[i], &b.rows()[i]);
-            let matches = ra.signature() == rb.signature();
-            #[cfg(feature = "fault-injection")]
-            let matches = matches || self.config.fault_sig_collisions.contains(&i);
-            if !matches {
+            rows: vec![RleRow::new(a.width()); height],
+            stats: PipelineStats::default(),
+        });
+        let mut matched = 0usize;
+        for i in (0..height).filter(|&i| self.signatures_match(a, b, i)) {
+            matched += 1;
+            let Some(host) = host.as_mut() else {
                 continue;
-            }
+            };
+            let (ra, rb) = (&a.rows()[i], &b.rows()[i]);
             let row_stats = ArrayStats {
                 k1: ra.run_count(),
                 k2: rb.run_count(),
                 ..ArrayStats::default()
             };
-            let ordinal = plan.skipped.len() + plan.collisions.len();
+            let ordinal = host.stats.rows;
+            host.resolved[i] = true;
+            host.stats.rows += 1;
             if self.config.verify_signatures && ordinal.is_multiple_of(SIG_VERIFY_SAMPLE) {
                 let reference = rle::ops::xor(ra, rb);
-                if reference.is_empty() {
-                    plan.verified += 1;
-                } else {
+                if !reference.is_empty() {
                     // A 64-bit collision (or an injected one): the skip
                     // would have dropped real differences. Resolve the row
                     // with the reference diff instead — still host-side,
                     // still no kernel, but exact.
-                    plan.stats.absorb(&ArrayStats {
+                    host.stats.totals.absorb(&ArrayStats {
                         output_runs: reference.run_count(),
                         ..row_stats
                     });
-                    plan.resolved[i] = true;
-                    plan.collisions.push((i, reference));
+                    host.stats.sig_collisions += 1;
+                    host.rows[i] = reference;
                     continue;
                 }
+                host.stats.sig_verified += 1;
             }
-            plan.stats.absorb(&row_stats);
-            plan.resolved[i] = true;
-            plan.skipped.push(i);
+            host.stats.totals.absorb(&row_stats);
+            host.stats.rows_sig_skipped += 1;
+            if let Some(obs) = self.executor.obs() {
+                obs.metrics.rows_sig_skipped.inc();
+                obs.record(TraceKind::SigSkip { row: i as u64 });
+            }
         }
         if height > 0 {
-            let matched = plan.skipped.len() + plan.collisions.len();
             self.sig_skip_rate = Some(matched as f64 / height as f64);
         }
-        if plan.skipped.is_empty() && plan.collisions.is_empty() {
-            None
-        } else {
-            Some(plan)
+        if bypass {
+            return (SigPrefilterMode::Bypassed, None);
         }
+        (SigPrefilterMode::Active, host.filter(|h| h.stats.rows > 0))
     }
 
     /// Small-batch shortcut after the prefilter: when at most
@@ -716,24 +634,24 @@ impl DiffPipeline {
     /// the host with the same kernel policy a worker would use. The batch
     /// then plans zero chunks — no enqueue, no wake-up, no collect
     /// handshake — which is what makes low-churn frame diffs cheap instead
-    /// of merely parallel. Inline rows join the stats ledger through the
-    /// [`SkipPlan`] like collision substitutes do; they never enter the
-    /// submit/complete ledgers (nothing was submitted).
+    /// of merely parallel. Inline rows join the host-resolved rows like
+    /// collision substitutes do; they never enter the submit/complete
+    /// ledgers (nothing was submitted).
     fn inline_residual(
         &mut self,
         a: &RleImage,
         b: &RleImage,
-        skip: &mut Option<SkipPlan>,
+        host: &mut Option<HostRows>,
     ) -> Result<(), SystolicError> {
-        let Some(plan) = skip else { return Ok(()) };
-        let residual: Vec<usize> = (0..a.height()).filter(|&i| !plan.resolved[i]).collect();
+        let Some(host) = host else { return Ok(()) };
+        let residual: Vec<usize> = (0..a.height()).filter(|&i| !host.resolved[i]).collect();
         if residual.is_empty() || residual.len() > INLINE_RESIDUAL_ROWS {
             return Ok(());
         }
         for i in residual {
             let row_start = self.executor.obs().map(|_| Instant::now());
             let (row, row_stats, choice) = kernel::diff_row(
-                self.config.kernel,
+                self.executor.kernel(),
                 &mut self.host_scratch,
                 &a.rows()[i],
                 &b.rows()[i],
@@ -752,18 +670,20 @@ impl DiffPipeline {
                     .row_runs
                     .record((row_stats.k1 + row_stats.k2) as u64);
             }
-            plan.max_inline_iterations = plan.max_inline_iterations.max(row_stats.iterations);
-            plan.stats.absorb(&row_stats);
-            plan.resolved[i] = true;
-            plan.inline.push((i, row, choice));
+            host.stats.max_row_iterations = host.stats.max_row_iterations.max(row_stats.iterations);
+            host.stats.totals.absorb(&row_stats);
+            host.stats.count_kernel(choice, 1);
+            host.stats.rows += 1;
+            host.resolved[i] = true;
+            host.rows[i] = row;
         }
         Ok(())
     }
 
     /// Diffs two images row by row across the pool, reassembling the rows
-    /// in order and aggregating per-row statistics. Each input row is
-    /// cloned **once** into per-chunk storage (use
-    /// [`Self::diff_images_shared`] to avoid even that).
+    /// in order and aggregating per-row statistics. The chunks borrow the
+    /// caller's images through the `Arc`s, so no row data is cloned —
+    /// submission cost is independent of image content.
     ///
     /// Bit-identical to [`crate::image::xor_image`] for every kernel
     /// policy. If any row fails, the remaining rows are still drained and
@@ -778,155 +698,30 @@ impl DiffPipeline {
     ///
     /// Panics if streaming submissions are still in flight (collect them
     /// first; the batch front-end needs an idle pipeline).
-    pub fn diff_images(
-        &mut self,
-        a: &RleImage,
-        b: &RleImage,
-    ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        // The old scheduler cloned each row at submit AND at checkout; the
-        // per-chunk copy keeps only the submit-time clone.
-        let clones_avoided = 2 * a.height() as u64;
-        self.run_batch(
-            a,
-            b,
-            |lo, hi| {
-                let rows: Vec<(RleRow, RleRow)> = (lo..hi)
-                    .map(|i| (a.rows()[i].clone(), b.rows()[i].clone()))
-                    .collect();
-                RowsSource::Owned {
-                    rows: Arc::from(rows),
-                    first: lo,
-                }
-            },
-            clones_avoided,
-            self.row_deadline(),
-        )
-    }
-
-    /// Zero-copy batch: like [`Self::diff_images`], but the chunks borrow
-    /// the caller's images through the `Arc`s, so no row data is cloned at
-    /// all — submission cost is independent of image content.
-    ///
-    /// # Panics
-    ///
-    /// Panics if streaming submissions are still in flight.
     pub fn diff_images_shared(
         &mut self,
         a: &Arc<RleImage>,
         b: &Arc<RleImage>,
     ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        self.run_shared(a, b, self.row_deadline())
-    }
-
-    /// Zero-copy batch with a **per-call wall-clock budget**: the whole
-    /// batch must complete within `budget`, with each collect waiting only
-    /// the remaining slice of it. On expiry the batch's job is abandoned
-    /// exactly like a [`DiffPipelineConfig::row_deadline`] abort — the
-    /// pipeline is immediately idle and reusable, and the wedged rows
-    /// surface in [`Self::abandoned`] / the `rows_abandoned` counter.
-    ///
-    /// This is the per-request deadline hook for network front ends: one
-    /// shared pipeline can serve callers with different deadlines without
-    /// rebuilding, and a wedged row can never wedge a caller for longer
-    /// than its own budget. (`diffd` itself now goes further and submits
-    /// sessions concurrently through [`DiffExecutor::diff_pair`].)
-    ///
-    /// # Panics
-    ///
-    /// Panics if streaming submissions are still in flight.
-    pub fn diff_images_deadline(
-        &mut self,
-        a: &Arc<RleImage>,
-        b: &Arc<RleImage>,
-        budget: Duration,
-    ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        self.run_shared(a, b, Deadline::At(Some(Instant::now() + budget)))
-    }
-
-    fn run_shared(
-        &mut self,
-        a: &Arc<RleImage>,
-        b: &Arc<RleImage>,
-        deadline: Deadline,
-    ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        let source = |_, _| RowsSource::Shared {
-            a: Arc::clone(a),
-            b: Arc::clone(b),
-        };
-        self.run_batch(a, b, source, 4 * a.height() as u64, deadline)
-    }
-
-    /// Common batch engine: prefilter, inline residual, plan the remaining
-    /// rows into chunks (see [`plan_ranges`]) with `make_source`, submit
-    /// them as one job, and collect it into the image.
-    fn run_batch(
-        &mut self,
-        a: &RleImage,
-        b: &RleImage,
-        make_source: impl Fn(usize, usize) -> RowsSource,
-        clones_avoided: u64,
-        deadline: Deadline,
-    ) -> Result<(RleImage, PipelineStats), SystolicError> {
-        assert!(self.in_flight() == 0, "diff_images needs an idle pipeline");
-        check_dims(a, b)?;
-        let mut skip = self.prefilter(a, b);
-        self.inline_residual(a, b, &mut skip)?;
-        let ranges = plan_ranges(
-            a,
-            b,
-            skip.as_ref().map(|s| s.resolved.as_slice()),
-            self.config.chunk_target,
-            self.executor.workers(),
+        assert!(
+            self.in_flight() == 0,
+            "diff_images_shared needs an idle pipeline"
         );
-        let specs: Vec<ChunkSpec> = ranges
-            .into_iter()
-            .map(|(lo, hi)| ChunkSpec {
-                lo,
-                hi,
-                source: make_source(lo, hi),
-            })
-            .collect();
-        let start = Instant::now();
-        let mut stats = PipelineStats {
-            workers: self.executor.workers(),
-            chunks: specs.len(),
-            row_clones_avoided: clones_avoided,
-            sig_prefilter: self.sig_mode,
-            ..Default::default()
-        };
-        // Skipped rows stay empty; chunks cover only unresolved rows.
-        let mut rows = vec![RleRow::new(a.width()); a.height()];
-        if let Some(plan) = skip {
-            // Host-resolved rows join the batch's row and ArrayStats
-            // ledgers here; they never touch the submit/complete ledgers
-            // (nothing was submitted for them).
-            stats.rows += plan.skipped.len() + plan.collisions.len() + plan.inline.len();
-            stats.rows_sig_skipped = plan.skipped.len();
-            stats.sig_verified = plan.verified;
-            stats.sig_collisions = plan.collisions.len();
-            stats.totals.absorb(&plan.stats);
-            stats.max_row_iterations = plan.max_inline_iterations;
-            if let Some(obs) = self.executor.obs() {
-                obs.metrics.rows_sig_skipped.add(plan.skipped.len() as u64);
-                for &row in &plan.skipped {
-                    obs.record(TraceKind::SigSkip { row: row as u64 });
-                }
-            }
-            for (row, diff) in plan.collisions {
-                rows[row] = diff;
-            }
-            for (row, diff, choice) in plan.inline {
-                stats.count_kernel(choice, 1);
-                rows[row] = diff;
-            }
-        }
-        let handle = self.executor.submit_job(specs);
-        handle.collect_image(a.width(), rows, stats, start, deadline)
+        check_dims(a, b)?;
+        let (mode, mut host) = self.prefilter(a, b);
+        self.inline_residual(a, b, &mut host)?;
+        let out = self.executor.run_batch(a, b, host, self.row_deadline())?;
+        Ok((
+            out.image,
+            PipelineStats {
+                sig_prefilter: mode,
+                ..out.stats
+            },
+        ))
     }
 
     /// The configured [`DiffPipelineConfig::row_deadline`] policy: a
-    /// per-block wait that restarts for each block (the old
-    /// `collect_timeout` semantics), or no deadline.
+    /// per-block wait that restarts for each block, or no deadline.
     fn row_deadline(&self) -> Deadline {
         self.config
             .row_deadline
@@ -939,8 +734,8 @@ mod tests {
     use super::*;
     use crate::image::xor_image;
 
-    fn img(art: &str) -> RleImage {
-        RleImage::from_ascii(art)
+    fn img(art: &str) -> Arc<RleImage> {
+        Arc::new(RleImage::from_ascii(art))
     }
 
     #[test]
@@ -952,7 +747,7 @@ mod tests {
         // The systolic kernel reproduces the reference machine's stats
         // exactly — same per-row iteration counts, same totals.
         let mut exact = DiffPipelineConfig::new(3).kernel(Kernel::Systolic).build();
-        let (got, stats) = exact.diff_images(&a, &b).unwrap();
+        let (got, stats) = exact.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.totals.iterations, seq_stats.totals.iterations);
@@ -966,7 +761,7 @@ mod tests {
 
         // The default hybrid kernel is bit-identical with cheaper stats.
         let mut pipeline = DiffPipeline::new(3);
-        let (hybrid, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (hybrid, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(hybrid, seq);
         assert_eq!(stats.rows, 4);
         assert_eq!(
@@ -979,17 +774,16 @@ mod tests {
         );
         assert!(stats.totals.within_theorem1());
         assert!(stats.chunks >= 1);
-        assert_eq!(stats.row_clones_avoided, 8);
+        assert_eq!(stats.row_clones_avoided, 16);
     }
 
     #[test]
     fn shared_batch_is_zero_copy_and_identical() {
-        let a = Arc::new(img("####....\n..##..##\n........\n#.#.#.#.\n"));
-        let b = Arc::new(img("####....\n..##..#.\n...##...\n.#.#.#.#\n"));
+        let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
+        let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
         let mut pipeline = DiffPipeline::new(2);
-        let (owned, _) = pipeline.diff_images(&a, &b).unwrap();
         let (shared, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
-        assert_eq!(owned, shared);
+        assert_eq!(shared, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.row_clones_avoided, 16, "4 clones avoided per row");
         assert_eq!(stats.rows, 4);
     }
@@ -1001,7 +795,7 @@ mod tests {
         let (seq, _) = xor_image(&a, &b).unwrap();
         for kernel in [Kernel::Rle, Kernel::Packed] {
             let mut pipeline = DiffPipelineConfig::new(2).kernel(kernel).build();
-            let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+            let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
             assert_eq!(got, seq, "{kernel:?}");
             match kernel {
                 Kernel::Rle => assert_eq!(stats.rows_rle_kernel, 4),
@@ -1023,7 +817,7 @@ mod tests {
                 .build();
             // An unsupported request clamps down instead of failing.
             assert!(pipeline.simd_level() <= SimdLevel::detect());
-            let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+            let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
             assert_eq!(got, seq, "{level}");
         }
     }
@@ -1034,11 +828,11 @@ mod tests {
         let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
         // A huge target packs the whole image into one chunk...
         let mut coarse = DiffPipelineConfig::new(2).chunk_target(1_000_000).build();
-        let (_, stats) = coarse.diff_images(&a, &b).unwrap();
+        let (_, stats) = coarse.diff_images_shared(&a, &b).unwrap();
         assert_eq!(stats.chunks, 1);
         // ...a target of one run forces per-row chunks.
         let mut fine = DiffPipelineConfig::new(2).chunk_target(1).build();
-        let (_, stats) = fine.diff_images(&a, &b).unwrap();
+        let (_, stats) = fine.diff_images_shared(&a, &b).unwrap();
         assert_eq!(stats.chunks, 4);
     }
 
@@ -1054,10 +848,10 @@ mod tests {
         for _ in 0..7 {
             rows.push(RleRow::new(width));
         }
-        let a = RleImage::from_rows(width, rows).unwrap();
-        let b = RleImage::new(width, 8);
+        let a = Arc::new(RleImage::from_rows(width, rows).unwrap());
+        let b = Arc::new(RleImage::new(width, 8));
         let mut pipeline = DiffPipeline::new(4);
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert!(
             stats.chunks >= 4,
@@ -1066,7 +860,7 @@ mod tests {
         // An image shorter than the pool caps at one chunk per row.
         let a = img("####....\n..##..##\n");
         let b = img("####....\n..##..#.\n");
-        let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (_, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(stats.chunks, 2);
     }
 
@@ -1075,8 +869,8 @@ mod tests {
         let a = img("####....\n..##..##\n........\n#.#.#.#.\n");
         let b = img("####....\n..##..#.\n...##...\n.#.#.#.#\n");
         let mut pipeline = DiffPipelineConfig::new(1).chunk_target(1).build();
-        let (_, _first) = pipeline.diff_images(&a, &b).unwrap();
-        let (_, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (_, _first) = pipeline.diff_images_shared(&a, &b).unwrap();
+        let (_, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert!(
             stats.buffers_reused > 0,
             "second batch must hit the recycling pool: {stats:?}"
@@ -1088,10 +882,10 @@ mod tests {
         let a = img("##..##..\n.######.\n");
         let b = img("##.###..\n.#....#.\n");
         let mut pipeline = DiffPipeline::new(2);
-        let (first, _) = pipeline.diff_images(&a, &b).unwrap();
-        let (second, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (first, _) = pipeline.diff_images_shared(&a, &b).unwrap();
+        let (second, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(first, second);
-        let (identity, stats) = pipeline.diff_images(&a, &a.clone()).unwrap();
+        let (identity, stats) = pipeline.diff_images_shared(&a, &a.clone()).unwrap();
         assert_eq!(identity.ones(), 0);
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.rows_fast_path, 2, "equal rows take the fast path");
@@ -1139,9 +933,9 @@ mod tests {
 
     #[test]
     fn empty_image_batch() {
-        let a = RleImage::new(32, 0);
+        let a = Arc::new(RleImage::new(32, 0));
         let mut pipeline = DiffPipeline::new(2);
-        let (d, stats) = pipeline.diff_images(&a, &a.clone()).unwrap();
+        let (d, stats) = pipeline.diff_images_shared(&a, &a.clone()).unwrap();
         assert_eq!(d.height(), 0);
         assert_eq!(stats.rows, 0);
         assert_eq!(stats.chunks, 0);
@@ -1151,9 +945,13 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let mut pipeline = DiffPipeline::new(2);
-        let a = RleImage::new(8, 2);
-        assert!(pipeline.diff_images(&a, &RleImage::new(9, 2)).is_err());
-        assert!(pipeline.diff_images(&a, &RleImage::new(8, 3)).is_err());
+        let a = Arc::new(RleImage::new(8, 2));
+        assert!(pipeline
+            .diff_images_shared(&a, &Arc::new(RleImage::new(9, 2)))
+            .is_err());
+        assert!(pipeline
+            .diff_images_shared(&a, &Arc::new(RleImage::new(8, 3)))
+            .is_err());
         // Failed dimension checks leave nothing in flight.
         assert_eq!(pipeline.in_flight(), 0);
     }
@@ -1167,13 +965,13 @@ mod tests {
     #[test]
     fn config_defaults_and_builders() {
         let config = DiffPipelineConfig::default();
-        assert!(config.threads >= 1);
-        assert_eq!(config.retry_limit, 2);
+        assert!(config.executor.threads >= 1);
+        assert_eq!(config.executor.retry_limit, 2);
         assert!(config.row_deadline.is_none());
-        assert_eq!(config.kernel, Kernel::Auto);
-        assert_eq!(config.simd, None, "SIMD level is auto-detected");
-        assert_eq!(config.chunk_target, None);
-        assert_eq!(config.observe, None, "observability is opt-in");
+        assert_eq!(config.executor.kernel, Kernel::Auto);
+        assert_eq!(config.executor.simd, None, "SIMD level is auto-detected");
+        assert_eq!(config.executor.chunk_target, None);
+        assert_eq!(config.executor.observe, None, "observability is opt-in");
         let config = DiffPipelineConfig::new(2)
             .retry_limit(5)
             .row_deadline(Duration::from_millis(250))
@@ -1181,13 +979,13 @@ mod tests {
             .kernel(Kernel::Packed)
             .simd(SimdLevel::Scalar)
             .chunk_target(64);
-        assert_eq!(config.threads, 2);
-        assert_eq!(config.retry_limit, 5);
+        assert_eq!(config.executor.threads, 2);
+        assert_eq!(config.executor.retry_limit, 5);
         assert_eq!(config.row_deadline, Some(Duration::from_millis(250)));
-        assert_eq!(config.shutdown_grace, Duration::from_millis(100));
-        assert_eq!(config.kernel, Kernel::Packed);
-        assert_eq!(config.simd, Some(SimdLevel::Scalar));
-        assert_eq!(config.chunk_target, Some(64));
+        assert_eq!(config.executor.shutdown_grace, Duration::from_millis(100));
+        assert_eq!(config.executor.kernel, Kernel::Packed);
+        assert_eq!(config.executor.simd, Some(SimdLevel::Scalar));
+        assert_eq!(config.executor.chunk_target, Some(64));
         let pipeline = config.build();
         assert_eq!(pipeline.workers(), 2);
         assert_eq!(pipeline.simd_level(), SimdLevel::Scalar);
@@ -1203,7 +1001,7 @@ mod tests {
 
         let mut pipeline = DiffPipelineConfig::new(2).observe().build();
         let obs = pipeline.observer().expect("observer attached");
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
 
         let snapshot = obs.metrics_snapshot();
@@ -1270,29 +1068,25 @@ mod tests {
         let mut pipeline = DiffPipelineConfig::new(2)
             .row_deadline(Duration::from_secs(10))
             .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.timeouts, 0);
     }
 
     #[test]
-    fn per_call_deadline_batch_matches_reference_and_maps_tickets() {
-        let a = Arc::new(img("####....\n..##..##\n#.#.#.#.\n"));
-        let b = Arc::new(img("###.....\n..##..#.\n.#.#.#.#\n"));
+    fn shared_batch_matches_reference_and_maps_tickets() {
+        let a = img("####....\n..##..##\n#.#.#.#.\n");
+        let b = img("###.....\n..##..#.\n.#.#.#.#\n");
         let mut pipeline = DiffPipeline::new(2);
         assert_eq!(pipeline.next_ticket(), 0);
         let lo = pipeline.next_ticket();
-        let (got, _) = pipeline
-            .diff_images_deadline(&a, &b, Duration::from_secs(10))
-            .unwrap();
+        let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         let hi = pipeline.next_ticket();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         // One ticket per row, allocated contiguously for the batch.
         assert_eq!(hi - lo, a.height() as u64);
-        // Different budgets per call on the same pool, no rebuild.
-        let (again, _) = pipeline
-            .diff_images_deadline(&a, &b, Duration::from_secs(1))
-            .unwrap();
+        // The next batch on the same pool takes the next range.
+        let (again, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(again, got);
         assert_eq!(pipeline.next_ticket(), hi + a.height() as u64);
     }
@@ -1302,7 +1096,7 @@ mod tests {
         let a = img("####....\n..##..##\n");
         let b = img("###.....\n..##..#.\n");
         let mut pipeline = DiffPipeline::new(2);
-        pipeline.diff_images(&a, &b).unwrap();
+        pipeline.diff_images_shared(&a, &b).unwrap();
         let load = pipeline.load();
         assert_eq!(load.queued_chunks, 0);
         assert_eq!(load.ready_chunks, 0);
@@ -1320,14 +1114,14 @@ mod tests {
         let b = img("####....\n..##..#.\n.#.#.#.#\n.#.#.#.#\n");
         let (seq, _) = xor_image(&a, &b).unwrap();
         // Threshold 0.0 pins the prefilter active: this test exercises the
-        // skip mechanics across all three front-ends, not the adaptive
-        // bypass (see `adaptive_prefilter_bypasses_and_rearms`), and a 0.5
-        // skip rate would otherwise trip the default threshold.
+        // skip mechanics over repeated batches, not the adaptive bypass
+        // (see `adaptive_prefilter_bypasses_and_rearms`), and a 0.5 skip
+        // rate would otherwise trip the default threshold.
         let mut pipeline = DiffPipelineConfig::new(2)
             .signature_prefilter()
             .sig_prefilter_min_skip_rate(0.0)
             .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.rows_sig_skipped, 2);
@@ -1342,16 +1136,10 @@ mod tests {
         assert_eq!(stats.totals.k1, a.total_runs());
         assert_eq!(stats.totals.k2, b.total_runs());
 
-        // Shared and deadline front-ends agree.
-        let (a, b) = (Arc::new(a), Arc::new(b));
-        let (shared, shared_stats) = pipeline.diff_images_shared(&a, &b).unwrap();
-        assert_eq!(shared, seq);
-        assert_eq!(shared_stats.rows_sig_skipped, 2);
-        let (deadlined, deadline_stats) = pipeline
-            .diff_images_deadline(&a, &b, Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(deadlined, seq);
-        assert_eq!(deadline_stats.rows_sig_skipped, 2);
+        // A repeated batch skips the same rows.
+        let (again, again_stats) = pipeline.diff_images_shared(&a, &b).unwrap();
+        assert_eq!(again, seq);
+        assert_eq!(again_stats.rows_sig_skipped, 2);
     }
 
     #[test]
@@ -1368,7 +1156,7 @@ mod tests {
         // Batch 1: no history yet, so the prefilter runs (and finds
         // nothing to skip — every row differs).
         let (hot_seq, _) = xor_image(&base, &hot).unwrap();
-        let (got, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&base, &hot).unwrap();
         assert_eq!(got, hot_seq);
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
         assert_eq!(stats.rows_sig_skipped, 0);
@@ -1376,7 +1164,7 @@ mod tests {
         // Batch 2: the observed rate (0.0) is below the threshold, so the
         // prefilter bypasses — even though this batch is all-identical and
         // would have skipped every row. Output must still be exact.
-        let (got, stats) = pipeline.diff_images(&base, &base).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&base, &base).unwrap();
         assert!(got.rows().iter().all(RleRow::is_empty));
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Bypassed);
         assert_eq!(stats.rows_sig_skipped, 0, "bypassed batches skip nothing");
@@ -1391,17 +1179,17 @@ mod tests {
 
         // Batch 3: the bypassed batch still measured (rate 1.0), so the
         // prefilter re-arms and resolves every matching row host-side.
-        let (got, stats) = pipeline.diff_images(&base, &base).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&base, &base).unwrap();
         assert!(got.rows().iter().all(RleRow::is_empty));
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
         assert_eq!(stats.rows_sig_skipped, 4);
 
         // And back: a hot batch under an active prefilter records its own
         // low rate, dropping the *next* batch into bypass again.
-        let (got, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&base, &hot).unwrap();
         assert_eq!(got, hot_seq);
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
-        let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
+        let (_, stats) = pipeline.diff_images_shared(&base, &hot).unwrap();
         assert_eq!(stats.sig_prefilter, SigPrefilterMode::Bypassed);
     }
 
@@ -1414,7 +1202,7 @@ mod tests {
             .sig_prefilter_min_skip_rate(0.0)
             .build();
         for _ in 0..3 {
-            let (_, stats) = pipeline.diff_images(&base, &hot).unwrap();
+            let (_, stats) = pipeline.diff_images_shared(&base, &hot).unwrap();
             assert_eq!(stats.sig_prefilter, SigPrefilterMode::Active);
         }
     }
@@ -1428,18 +1216,18 @@ mod tests {
         let rows: Vec<RleRow> = (0..40)
             .map(|y: u32| RleRow::from_pairs(width, &[(y % 32, 5)]).unwrap())
             .collect();
-        let a = RleImage::from_rows(width, rows.clone()).unwrap();
+        let a = Arc::new(RleImage::from_rows(width, rows.clone()).unwrap());
         let mut rows_b = rows;
         for y in [3usize, 17, 38] {
             rows_b[y] = RleRow::from_pairs(width, &[(y as u32 % 32 + 64, 5)]).unwrap();
         }
-        let b = RleImage::from_rows(width, rows_b).unwrap();
+        let b = Arc::new(RleImage::from_rows(width, rows_b).unwrap());
         let (seq, _) = xor_image(&a, &b).unwrap();
         let mut pipeline = DiffPipelineConfig::new(2)
             .signature_prefilter()
             .observe()
             .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows, 40);
         assert_eq!(stats.rows_sig_skipped, 37);
@@ -1462,9 +1250,9 @@ mod tests {
         for (y, row) in rows_c.iter_mut().enumerate().take(INLINE_RESIDUAL_ROWS + 4) {
             *row = RleRow::from_pairs(width, &[(y as u32 + 100, 7)]).unwrap();
         }
-        let c = RleImage::from_rows(width, rows_c).unwrap();
+        let c = Arc::new(RleImage::from_rows(width, rows_c).unwrap());
         let (seq_ac, _) = xor_image(&a, &c).unwrap();
-        let (got_ac, stats_ac) = pipeline.diff_images(&a, &c).unwrap();
+        let (got_ac, stats_ac) = pipeline.diff_images_shared(&a, &c).unwrap();
         assert_eq!(got_ac, seq_ac);
         assert!(stats_ac.chunks > 0, "large residuals still dispatch");
         let s2 = pipeline.observer().unwrap().metrics_snapshot();
@@ -1478,7 +1266,7 @@ mod tests {
 
     #[test]
     fn signature_prefilter_handles_fully_identical_images() {
-        let a = Arc::new(img("####....\n..##..##\n.#.#.#.#\n"));
+        let a = img("####....\n..##..##\n.#.#.#.#\n");
         let b = Arc::new((*a).clone());
         let mut pipeline = DiffPipelineConfig::new(2)
             .signature_prefilter()
@@ -1519,11 +1307,11 @@ mod tests {
         let split = RleRow::from_pairs(wide, &[(3, 4), (7, 2)]).unwrap();
         let changed_a = RleRow::from_pairs(wide, &[(0, 2)]).unwrap();
         let changed_b = RleRow::from_pairs(wide, &[(1, 2)]).unwrap();
-        let a = RleImage::from_rows(wide, vec![canonical, changed_a]).unwrap();
-        let b = RleImage::from_rows(wide, vec![split, changed_b]).unwrap();
+        let a = Arc::new(RleImage::from_rows(wide, vec![canonical, changed_a]).unwrap());
+        let b = Arc::new(RleImage::from_rows(wide, vec![split, changed_b]).unwrap());
         let (seq, _) = xor_image(&a, &b).unwrap();
         let mut pipeline = DiffPipelineConfig::new(2).signature_prefilter().build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows_sig_skipped, 1);
     }
@@ -1536,7 +1324,7 @@ mod tests {
             .signature_prefilter()
             .verify_signatures()
             .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.rows_sig_skipped, 2);
         assert_eq!(stats.sig_verified, 1, "first skip of the batch sampled");
@@ -1554,7 +1342,7 @@ mod tests {
             .kernel(Kernel::Systolic)
             .signature_prefilter()
             .build();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq);
         assert_eq!(stats.rows_sig_skipped, 0);
         assert_eq!(stats.rows_systolic_kernel, 2);
@@ -1576,7 +1364,7 @@ mod tests {
             .signature_prefilter()
             .fault_sig_collisions(vec![0])
             .build();
-        let (wrong, stats) = unchecked.diff_images(&a, &b).unwrap();
+        let (wrong, stats) = unchecked.diff_images_shared(&a, &b).unwrap();
         assert_ne!(wrong, seq, "the forced false skip drops row 0's diff");
         assert!(wrong.rows()[0].is_empty());
         assert_eq!(stats.rows_sig_skipped, 2);
@@ -1586,7 +1374,7 @@ mod tests {
             .verify_signatures()
             .fault_sig_collisions(vec![0])
             .build();
-        let (got, stats) = paranoid.diff_images(&a, &b).unwrap();
+        let (got, stats) = paranoid.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, seq, "verification restores exactness");
         assert_eq!(stats.sig_collisions, 1);
         assert_eq!(stats.rows_sig_skipped, 1, "row 1's genuine skip remains");

@@ -127,7 +127,7 @@ pub fn xor_image_parallel(
     }
 
     let chunk = height.div_ceil(workers);
-    let results = crossbeam::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|t| {
                 // Both bounds clamp: with an uneven height the last chunks
@@ -136,7 +136,7 @@ pub fn xor_image_parallel(
                 let lo = (t * chunk).min(height);
                 let hi = ((t + 1) * chunk).min(height);
                 let (ra, rb) = (&a.rows()[lo..hi], &b.rows()[lo..hi]);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     ra.iter()
                         .zip(rb)
                         .map(|(x, y)| diff_row(x, y))
@@ -148,8 +148,7 @@ pub fn xor_image_parallel(
             .into_iter()
             .map(|h| h.join().expect("image diff worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("image diff scope panicked");
+    });
 
     let mut stats = ImageDiffStats::default();
     let mut rows = Vec::with_capacity(height);

@@ -181,8 +181,8 @@ impl HistogramSnapshot {
 /// * `rows_discarded` — completed row results thrown away because a later
 ///   row crashed their chunk (the chunk re-runs whole, so these rows are
 ///   diffed again);
-/// * `rows_completed` / `rows_errored` — outcomes actually unpacked from
-///   the result channel (collector side);
+/// * `rows_completed` / `rows_errored` — row outcomes delivered to a live
+///   job, booked once per delivered chunk block;
 /// * `rows_inline_diffed` — kernel executions performed host-side by the
 ///   prefilter's inline-residual shortcut: real diffs through the same
 ///   kernels (so they count in the kernel mix and the row histograms) but
@@ -195,7 +195,7 @@ impl HistogramSnapshot {
 /// * `row_latency_ns.count == row_runs.count ==
 ///   rows_diffed + rows_inline_diffed`
 /// * `rows_diffed == rows_completed + rows_discarded` (absent kernel
-///   errors, which `diff_images`' dimension check rules out)
+///   errors, which the batch front ends' dimension check rules out)
 /// * `rows_submitted == rows_completed + rows_errored + rows_abandoned`
 ///   (every accepted row is either delivered, delivered-as-error, or
 ///   written off by a deadline abort — no row is silently lost)
@@ -206,9 +206,10 @@ impl HistogramSnapshot {
 pub struct MetricsRegistry {
     /// Row pairs accepted by `submit` or a batch front-end.
     pub rows_submitted: Counter,
-    /// Row outcomes unpacked from the result channel with an `Ok` diff.
+    /// Rows delivered to a live job with an `Ok` diff, booked when a
+    /// worker delivers the row's chunk block.
     pub rows_completed: Counter,
-    /// Row outcomes unpacked from the result channel with an `Err`.
+    /// Rows delivered to a live job as an error, booked with their block.
     pub rows_errored: Counter,
     /// Successful kernel executions (worker side, per attempt).
     pub rows_diffed: Counter,
@@ -258,7 +259,9 @@ pub struct MetricsRegistry {
     /// Deadline expiries observed by collectors (mirrors
     /// `SupervisionCounters::timeouts`).
     pub timeouts: Counter,
-    /// Batch front-end calls (`diff_images` / `diff_images_shared`).
+    /// Ledgered jobs submitted: bumped once per job, so every batch of
+    /// `diff_images_shared` and every `diffd` request that reaches the
+    /// executor counts (streaming submits do not).
     pub batches: Counter,
     /// Ledgered jobs accepted by the executor (`submit_job` /
     /// `submit_pair`; the streaming job is not ledgered). Quiescent
@@ -269,7 +272,7 @@ pub struct MetricsRegistry {
     /// Ledgered jobs written off by `JobHandle::abandon` before all rows
     /// were delivered.
     pub jobs_abandoned: Counter,
-    /// Jobs currently sitting in the scheduler queue.
+    /// Chunks currently sitting in the shard queues.
     pub queue_depth: Gauge,
     /// Rows submitted but not yet handed back to the caller.
     pub in_flight: Gauge,
@@ -384,7 +387,7 @@ impl MetricsSnapshot {
             + self.rows_systolic_kernel
     }
 
-    fn counters(&self) -> [(&'static str, u64); 23] {
+    fn counters(&self) -> impl Iterator<Item = Family<'_>> {
         [
             ("rows_submitted", self.rows_submitted),
             ("rows_completed", self.rows_completed),
@@ -410,109 +413,154 @@ impl MetricsSnapshot {
             ("jobs_completed", self.jobs_completed),
             ("jobs_abandoned", self.jobs_abandoned),
         ]
+        .into_iter()
+        .map(|(name, v)| (name, Value::Counter(v)))
     }
 
-    fn gauges(&self) -> [(&'static str, i64); 2] {
+    fn gauges(&self) -> [Family<'_>; 2] {
         [
-            ("queue_depth", self.queue_depth),
-            ("in_flight", self.in_flight),
+            ("queue_depth", Value::Gauge(self.queue_depth)),
+            ("in_flight", Value::Gauge(self.in_flight)),
         ]
     }
 
-    fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 3] {
+    fn histograms(&self) -> [Family<'_>; 3] {
         [
-            ("row_latency_ns", &self.row_latency_ns),
-            ("chunk_latency_ns", &self.chunk_latency_ns),
-            ("row_runs", &self.row_runs),
+            ("row_latency_ns", Value::Histogram(&self.row_latency_ns)),
+            ("chunk_latency_ns", Value::Histogram(&self.chunk_latency_ns)),
+            ("row_runs", Value::Histogram(&self.row_runs)),
         ]
     }
 
-    /// Prometheus text exposition (metric prefix `diffpipeline_`,
-    /// counters suffixed `_total`, histograms in the standard
-    /// `_bucket`/`_sum`/`_count` shape with cumulative `le` labels).
+    /// Prometheus text exposition (metric prefix `diffpipeline_`; see
+    /// [`prometheus_text`]). The trace ring's totals follow the counters
+    /// as `trace_events` and `trace_events_dropped`.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} counter");
-            let _ = writeln!(out, "diffpipeline_{name}_total {v}");
-        }
-        let _ = writeln!(out, "# TYPE diffpipeline_trace_events counter");
-        let _ = writeln!(
-            out,
-            "diffpipeline_trace_events_total {}",
-            self.trace_recorded
-        );
-        let _ = writeln!(out, "# TYPE diffpipeline_trace_events_dropped counter");
-        let _ = writeln!(
-            out,
-            "diffpipeline_trace_events_dropped_total {}",
-            self.trace_dropped
-        );
-        for (name, v) in self.gauges() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} gauge");
-            let _ = writeln!(out, "diffpipeline_{name} {v}");
-        }
-        for (name, h) in self.histograms() {
-            let _ = writeln!(out, "# TYPE diffpipeline_{name} histogram");
-            let mut cumulative = 0u64;
-            for (i, n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                // Empty tail buckets are elided; the +Inf bucket carries
-                // the full count regardless.
-                if *n > 0 {
-                    let _ = writeln!(
-                        out,
-                        "diffpipeline_{name}_bucket{{le=\"{}\"}} {cumulative}",
-                        HistogramSnapshot::bucket_edge(i)
-                    );
-                }
-            }
-            let _ = writeln!(out, "diffpipeline_{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "diffpipeline_{name}_sum {}", h.sum);
-            let _ = writeln!(out, "diffpipeline_{name}_count {}", h.count);
-        }
-        out
+        let trace = [
+            ("trace_events", Value::Counter(self.trace_recorded)),
+            ("trace_events_dropped", Value::Counter(self.trace_dropped)),
+        ];
+        let families: Vec<Family<'_>> = self
+            .counters()
+            .chain(trace)
+            .chain(self.gauges())
+            .chain(self.histograms())
+            .collect();
+        prometheus_text("diffpipeline_", &families)
     }
 
-    /// JSON object exposition (hand-rolled — the workspace carries no
-    /// serde; the format is flat `name: number` pairs plus one object per
-    /// histogram, stable for CI parsers).
+    /// JSON object exposition (see [`json_text`]). The trace ring's totals
+    /// follow the gauges as `trace_recorded` and `trace_dropped`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        for (name, v) in self.counters() {
-            let _ = writeln!(out, "  \"{name}\": {v},");
-        }
-        for (name, v) in self.gauges() {
-            let _ = writeln!(out, "  \"{name}\": {v},");
-        }
-        let _ = writeln!(out, "  \"trace_recorded\": {},", self.trace_recorded);
-        let _ = writeln!(out, "  \"trace_dropped\": {},", self.trace_dropped);
-        let histograms = self.histograms();
-        for (hi, (name, h)) in histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count, h.sum
-            );
-            // Trailing zero buckets are trimmed so the arrays stay short;
-            // absent entries are zero by construction.
-            let last = h.buckets.iter().rposition(|n| *n > 0).map_or(0, |i| i + 1);
-            for (i, n) in h.buckets[..last].iter().enumerate() {
-                let _ = write!(out, "{}{n}", if i == 0 { "" } else { ", " });
-            }
-            let _ = writeln!(
-                out,
-                "]}}{}",
-                if hi + 1 == histograms.len() { "" } else { "," }
-            );
-        }
-        out.push_str("}\n");
-        out
+        let trace = [
+            ("trace_recorded", Value::Counter(self.trace_recorded)),
+            ("trace_dropped", Value::Counter(self.trace_dropped)),
+        ];
+        let families: Vec<Family<'_>> = self
+            .counters()
+            .chain(self.gauges())
+            .chain(trace)
+            .chain(self.histograms())
+            .collect();
+        json_text(&families)
     }
+}
+
+/// The value of one metric family, as the exposition writers take it.
+#[derive(Clone, Copy, Debug)]
+pub enum Value<'a> {
+    /// A monotonic counter.
+    Counter(u64),
+    /// An instantaneous signed value.
+    Gauge(i64),
+    /// A base-2 histogram.
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// One named metric family.
+pub type Family<'a> = (&'static str, Value<'a>);
+
+/// Prometheus text exposition of `families`, each name prefixed with
+/// `prefix`: counters suffixed `_total`, gauges bare, histograms in the
+/// standard `_bucket`/`_sum`/`_count` shape with cumulative `le` labels.
+/// The one writer behind every `/metrics` body, so prefixed sets
+/// concatenate into one exposition.
+#[must_use]
+pub fn prometheus_text(prefix: &str, families: &[Family<'_>]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for &(name, value) in families {
+        match value {
+            Value::Counter(v) => {
+                let _ = writeln!(out, "# TYPE {prefix}{name} counter");
+                let _ = writeln!(out, "{prefix}{name}_total {v}");
+            }
+            Value::Gauge(v) => {
+                let _ = writeln!(out, "# TYPE {prefix}{name} gauge");
+                let _ = writeln!(out, "{prefix}{name} {v}");
+            }
+            Value::Histogram(h) => {
+                let _ = writeln!(out, "# TYPE {prefix}{name} histogram");
+                let mut cumulative = 0u64;
+                for (i, n) in h.buckets.iter().enumerate() {
+                    cumulative += n;
+                    // Empty buckets are elided; the +Inf bucket carries
+                    // the full count regardless.
+                    if *n > 0 {
+                        let _ = writeln!(
+                            out,
+                            "{prefix}{name}_bucket{{le=\"{}\"}} {cumulative}",
+                            HistogramSnapshot::bucket_edge(i)
+                        );
+                    }
+                }
+                let _ = writeln!(out, "{prefix}{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+                let _ = writeln!(out, "{prefix}{name}_sum {}", h.sum);
+                let _ = writeln!(out, "{prefix}{name}_count {}", h.count);
+            }
+        }
+    }
+    out
+}
+
+/// JSON object exposition of `families` (hand-rolled — the workspace
+/// carries no serde): flat `name: number` pairs for counters and gauges,
+/// one `{count, sum, buckets}` object per histogram, stable for CI
+/// parsers.
+#[must_use]
+pub fn json_text(families: &[Family<'_>]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from("{\n");
+    for (i, &(name, value)) in families.iter().enumerate() {
+        let _ = write!(out, "  \"{name}\": ");
+        match value {
+            Value::Counter(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::Gauge(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Value::Histogram(h) => {
+                let _ = write!(
+                    out,
+                    "{{\"count\": {}, \"sum\": {}, \"buckets\": [",
+                    h.count, h.sum
+                );
+                // Trailing zero buckets are trimmed so the arrays stay
+                // short; absent entries are zero by construction.
+                let last = h.buckets.iter().rposition(|n| *n > 0).map_or(0, |i| i + 1);
+                for (i, n) in h.buckets[..last].iter().enumerate() {
+                    let _ = write!(out, "{}{n}", if i == 0 { "" } else { ", " });
+                }
+                out.push_str("]}");
+            }
+        }
+        out.push_str(if i + 1 == families.len() { "\n" } else { ",\n" });
+    }
+    out.push_str("}\n");
+    out
 }
 
 #[cfg(test)]

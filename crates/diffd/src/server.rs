@@ -5,7 +5,7 @@
 //!   its request directly as an executor *job* via
 //!   [`DiffExecutor::diff_pair`]; jobs from different sessions interleave
 //!   on the shared worker shards under the executor's round-robin policy,
-//!   so one huge request can no longer serialize the rest behind a lock.
+//!   so one huge request cannot serialize the rest behind a lock.
 //! * **Admission control** — before a request touches the executor it must
 //!   pass the shed policy, driven by the executor's `queue_depth` /
 //!   `in_flight` gauges plus a server-side concurrent-request bound;
@@ -125,19 +125,13 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// The full `/metrics` body: executor exposition plus server counters.
     fn prometheus(&self) -> String {
-        let mut text = self.observer.metrics_snapshot().to_prometheus();
-        text.push_str(&self.metrics.to_prometheus());
-        text
+        self.metrics
+            .prometheus_body(&self.observer.metrics_snapshot())
     }
 
     fn json(&self) -> String {
-        format!(
-            "{{\n\"pipeline\": {},\n\"server\": {}\n}}\n",
-            self.observer.metrics_snapshot().to_json().trim_end(),
-            self.metrics.to_json().trim_end(),
-        )
+        self.metrics.json_body(&self.observer.metrics_snapshot())
     }
 }
 

@@ -44,11 +44,11 @@ use rle_systolic::systolic_core::{
 use rle_systolic::workload::{errors, ErrorModel, GenParams, RowGenerator};
 use std::sync::{Arc, Mutex};
 
-fn image_pair(width: u32, height: usize, seed: u64) -> (RleImage, RleImage) {
+fn image_pair(width: u32, height: usize, seed: u64) -> (Arc<RleImage>, Arc<RleImage>) {
     let params = GenParams::for_density(width, 0.3);
     let a = RowGenerator::new(params, seed).next_image(height);
     let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.05), seed ^ 0xBEEF);
-    (a, b)
+    (Arc::new(a), Arc::new(b))
 }
 
 /// The histogram/counter identities every quiescent snapshot must satisfy,
@@ -115,7 +115,7 @@ fn clean_batches_reconcile_across_kernels() {
     for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed, Kernel::Systolic] {
         let mut pipeline = DiffPipelineConfig::new(3).kernel(kernel).observe().build();
         let obs = pipeline.observer().expect("observer attached");
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, expected, "{kernel:?}");
 
         let s = obs.metrics_snapshot();
@@ -148,13 +148,11 @@ fn clean_batches_reconcile_across_kernels() {
 #[test]
 fn metrics_accumulate_across_batches_and_streaming() {
     let (a, b) = image_pair(512, 10, 0xACC0);
-    let a_arc = Arc::new(a.clone());
-    let b_arc = Arc::new(b.clone());
     let mut pipeline = DiffPipelineConfig::new(2).observe().build();
     let obs = pipeline.observer().unwrap();
 
-    pipeline.diff_images(&a, &b).unwrap();
-    pipeline.diff_images_shared(&a_arc, &b_arc).unwrap();
+    pipeline.diff_images_shared(&a, &b).unwrap();
+    pipeline.diff_images_shared(&a, &b).unwrap();
     for (ra, rb) in a.rows().iter().zip(b.rows()) {
         pipeline.submit(ra.clone(), rb.clone());
     }
@@ -187,7 +185,7 @@ fn trace_is_causally_ordered_per_row() {
     let (a, b) = image_pair(640, 16, 0xCA5A);
     let mut pipeline = DiffPipelineConfig::new(4).observe().build();
     let obs = pipeline.observer().unwrap();
-    pipeline.diff_images(&a, &b).unwrap();
+    pipeline.diff_images_shared(&a, &b).unwrap();
     let events = obs.trace_snapshot();
 
     // Sequence numbers are unique and timestamps non-decreasing along them.
@@ -247,7 +245,7 @@ fn trace_ring_wraps_without_corrupting_accounting() {
         .observe_with(ObsConfig { trace_capacity: 16 })
         .build();
     let obs = pipeline.observer().unwrap();
-    pipeline.diff_images(&a, &b).unwrap();
+    pipeline.diff_images_shared(&a, &b).unwrap();
 
     let s = obs.metrics_snapshot();
     assert_ledger_closed(&s);
@@ -325,7 +323,7 @@ fn gauges_never_go_negative_under_concurrent_sampling() {
     };
 
     for _ in 0..6 {
-        let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, expected);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -424,7 +422,7 @@ proptest! {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         prop_assert_eq!(&got, &xor_image(&a, &b).unwrap().0);
         prop_assert_eq!(stats.rows, height);
         prop_assert_eq!(
@@ -463,15 +461,10 @@ fn shared_pipeline_stress_from_four_submitters() {
                     let expected = xor_image(&a, &b).unwrap().0;
                     let mut p = pipeline.lock().unwrap();
                     match (submitter + round) % 3 {
-                        0 => {
-                            let (got, stats) = p.diff_images(&a, &b).unwrap();
+                        0 | 1 => {
+                            let (got, stats) = p.diff_images_shared(&a, &b).unwrap();
                             assert_eq!(got, expected, "submitter {submitter} round {round}");
                             assert_eq!(stats.rows, 6);
-                        }
-                        1 => {
-                            let (aa, bb) = (Arc::new(a), Arc::new(b));
-                            let (got, _) = p.diff_images_shared(&aa, &bb).unwrap();
-                            assert_eq!(got, expected, "submitter {submitter} round {round}");
                         }
                         _ => {
                             let tickets: Vec<_> = a
@@ -546,7 +539,6 @@ fn executor_job_ledger_closes_per_job_and_in_aggregate() {
                     let height = 5 + 7 * submitter as usize + round as usize;
                     let (a, b) = image_pair(448, height, seed);
                     let expected = xor_image(&a, &b).unwrap().0;
-                    let (a, b) = (Arc::new(a), Arc::new(b));
                     let job = executor.diff_pair(&a, &b, None).unwrap();
                     assert_eq!(
                         job.image, expected,
@@ -685,7 +677,7 @@ mod faults {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.retries, 1);
 
@@ -721,7 +713,7 @@ mod faults {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_eq!(stats.respawns, 1);
 
@@ -753,7 +745,7 @@ mod faults {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let err = pipeline.diff_images(&a, &b).unwrap_err();
+        let err = pipeline.diff_images_shared(&a, &b).unwrap_err();
         assert!(matches!(
             err,
             rle_systolic::systolic_core::SystolicError::RowFailed { row: 4, .. }
@@ -830,7 +822,7 @@ mod faults {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let err = pipeline.diff_images(&a, &b).unwrap_err();
+        let err = pipeline.diff_images_shared(&a, &b).unwrap_err();
         assert!(matches!(
             err,
             rle_systolic::systolic_core::SystolicError::DeadlineExceeded { .. }
@@ -868,7 +860,7 @@ mod faults {
         assert_ledger_closed(&healed);
 
         // And the pool still works: a clean batch reconciles on top.
-        let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
         assert_ledger_closed(&obs.metrics_snapshot());
     }
@@ -888,7 +880,7 @@ mod faults {
             .observe()
             .build();
         let obs = pipeline.observer().unwrap();
-        let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+        let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
         assert_eq!(got, xor_image(&a, &b).unwrap().0);
 
         let s = obs.metrics_snapshot();
@@ -935,12 +927,8 @@ mod faults {
 
         let (a1, b1) = image_pair(512, 8, 0x0A11);
         let (a2, b2) = image_pair(512, 8, 0x0A22);
-        let clean = executor
-            .diff_pair(&Arc::new(a1.clone()), &Arc::new(b1.clone()), None)
-            .unwrap();
-        let faulted = executor
-            .diff_pair(&Arc::new(a2.clone()), &Arc::new(b2.clone()), None)
-            .unwrap();
+        let clean = executor.diff_pair(&a1, &b1, None).unwrap();
+        let faulted = executor.diff_pair(&a2, &b2, None).unwrap();
         assert_eq!(clean.image, xor_image(&a1, &b1).unwrap().0);
         assert_eq!(faulted.image, xor_image(&a2, &b2).unwrap().0);
         assert_eq!(clean.tickets, (0, 8));
@@ -977,11 +965,7 @@ mod faults {
 
         let (a1, b1) = image_pair(512, 6, 0xABA1);
         let err = executor
-            .diff_pair(
-                &Arc::new(a1.clone()),
-                &Arc::new(b1.clone()),
-                Some(Duration::from_millis(40)),
-            )
+            .diff_pair(&a1, &b1, Some(Duration::from_millis(40)))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -991,9 +975,7 @@ mod faults {
         // The neighbour rides the surviving worker while the first job's
         // stalled chunk is still wedged.
         let (a2, b2) = image_pair(512, 6, 0xABA2);
-        let job = executor
-            .diff_pair(&Arc::new(a2.clone()), &Arc::new(b2.clone()), None)
-            .unwrap();
+        let job = executor.diff_pair(&a2, &b2, None).unwrap();
         assert_eq!(job.image, xor_image(&a2, &b2).unwrap().0);
 
         // Wait out the stall: the stale delivery is discarded on arrival

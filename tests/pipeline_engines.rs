@@ -36,6 +36,7 @@ proptest! {
 
     #[test]
     fn three_engines_are_bit_identical((a, b) in image_pair(), threads in 1usize..5) {
+        let (a, b) = (Arc::new(a), Arc::new(b));
         let (seq, seq_stats) = xor_image(&a, &b).unwrap();
         let (par, par_stats) = xor_image_parallel(&a, &b, threads).unwrap();
         // The systolic-kernel pool runs the same cycle-accurate machine as
@@ -43,7 +44,7 @@ proptest! {
         let mut pool = DiffPipelineConfig::new(threads)
             .kernel(Kernel::Systolic)
             .build();
-        let (pipe, pipe_stats) = pool.diff_images(&a, &b).unwrap();
+        let (pipe, pipe_stats) = pool.diff_images_shared(&a, &b).unwrap();
 
         // Bit-identical output rows across all three engines.
         prop_assert_eq!(&par, &seq);
@@ -72,7 +73,7 @@ proptest! {
         // algorithm differ.
         for kernel in [Kernel::Auto, Kernel::Rle, Kernel::Packed] {
             let mut pool = DiffPipelineConfig::new(threads).kernel(kernel).build();
-            let (img, stats) = pool.diff_images(&a, &b).unwrap();
+            let (img, stats) = pool.diff_images_shared(&a, &b).unwrap();
             prop_assert_eq!(&img, &seq, "kernel {:?}", kernel);
             prop_assert_eq!(stats.rows, a.height());
             // The adaptive policy only picks the packed kernel when it is
@@ -96,11 +97,11 @@ fn pipeline_is_reusable_and_stable_across_batches() {
         rle_systolic::workload::GenParams::for_density(WIDTH, 0.3),
         42,
     );
-    let images: Vec<RleImage> = (0..4).map(|_| gen.next_image(16)).collect();
+    let images: Vec<Arc<RleImage>> = (0..4).map(|_| Arc::new(gen.next_image(16))).collect();
     for window in images.windows(2) {
         let (expected, _) = xor_image(&window[0], &window[1]).unwrap();
-        let (first, _) = pool.diff_images(&window[0], &window[1]).unwrap();
-        let (second, stats) = pool.diff_images(&window[0], &window[1]).unwrap();
+        let (first, _) = pool.diff_images_shared(&window[0], &window[1]).unwrap();
+        let (second, stats) = pool.diff_images_shared(&window[0], &window[1]).unwrap();
         assert_eq!(first, expected);
         assert_eq!(second, expected, "repeat batch on a warm pool must agree");
         assert_eq!(stats.rows, 16);
@@ -109,10 +110,10 @@ fn pipeline_is_reusable_and_stable_across_batches() {
 
 /// The chunk-block path against a single-thread fold of
 /// [`kernel::diff_row`]: for every kernel policy, worker count and pair
-/// shape, `DiffExecutor::diff_pair`, `DiffPipeline::diff_images_shared`
-/// and `DiffPipeline::diff_images` must produce `RleImage::xor` exactly
-/// and the same row count, kernel tallies, summed statistics and slowest
-/// row as the fold.
+/// shape, `DiffExecutor::diff_pair` and `DiffPipeline::diff_images_shared`
+/// (on a fresh pipeline, then again on the warm one) must produce
+/// `RleImage::xor` exactly and the same row count, kernel tallies, summed
+/// statistics and slowest row as the fold.
 #[test]
 fn chunk_blocks_match_a_single_thread_kernel_fold() {
     let pcb = inspection_pair(
@@ -160,14 +161,14 @@ fn chunk_blocks_match_a_single_thread_kernel_fold() {
                 .build();
                 let job = exec.diff_pair(&a, &b, None).unwrap();
                 let mut config = DiffPipelineConfig::new(threads).kernel(kernel);
-                config.chunk_target = chunk_target;
+                config.executor.chunk_target = chunk_target;
                 let mut pipeline = config.build();
                 let shared = pipeline.diff_images_shared(&a, &b).unwrap();
-                let owned = pipeline.diff_images(&a, &b).unwrap();
+                let warm = pipeline.diff_images_shared(&a, &b).unwrap();
                 for (front, (image, stats)) in [
                     ("diff_pair", (job.image, job.stats)),
                     ("diff_images_shared", shared),
-                    ("diff_images", owned),
+                    ("diff_images_shared (warm)", warm),
                 ] {
                     let at = format!("{name} {kernel:?} threads={threads} {front}");
                     assert_eq!(image, expected, "{at}");

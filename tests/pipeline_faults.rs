@@ -2,7 +2,7 @@
 //!
 //! Every failure mode the supervisor claims to tolerate is driven here by a
 //! deterministic [`FaultPlan`] and checked against the one acceptance bar
-//! that matters: after recovery, `diff_images` is **bit-identical** to the
+//! that matters: after recovery, `diff_images_shared` is **bit-identical** to the
 //! sequential reference `xor_image`, and the intervention is visible in
 //! [`PipelineStats`] / [`SupervisionCounters`].
 //!
@@ -48,11 +48,11 @@ fn quiet_injected_panics() {
     });
 }
 
-fn image_pair(height: usize) -> (RleImage, RleImage) {
+fn image_pair(height: usize) -> (Arc<RleImage>, Arc<RleImage>) {
     let params = GenParams::for_density(512, 0.3);
     let a = RowGenerator::new(params, 0xFA17).next_image(height);
     let b = errors::apply_errors_image(&a, &ErrorModel::fraction(0.05), 0xFA18);
-    (a, b)
+    (Arc::new(a), Arc::new(b))
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn panicked_row_is_retried_and_result_is_bit_identical() {
     let mut pipeline = DiffPipelineConfig::new(3)
         .fault_plan(FaultPlan::new().panic_on_row(5))
         .build();
-    let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, expected, "retried row must reproduce the exact diff");
     assert_eq!(stats.rows, 16);
     assert_eq!(stats.retries, 1, "the panic must cost exactly one retry");
@@ -78,7 +78,7 @@ fn panicked_row_is_retried_and_result_is_bit_identical() {
         }
     );
     // The pool is healthy afterwards: a clean re-run needs no interventions.
-    let (again, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (again, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(again, expected);
     assert_eq!((stats.retries, stats.respawns), (0, 0));
 }
@@ -91,7 +91,7 @@ fn dead_worker_is_respawned_and_its_row_recovered() {
     let mut pipeline = DiffPipelineConfig::new(2)
         .fault_plan(FaultPlan::new().die_on_row(3))
         .build();
-    let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, expected, "recovered row must reproduce the exact diff");
     assert_eq!(stats.respawns, 1, "the dead thread must be replaced");
     assert_eq!(stats.retries, 1, "its orphaned row must be re-enqueued");
@@ -108,7 +108,7 @@ fn dead_sole_worker_still_recovers() {
     let mut pipeline = DiffPipelineConfig::new(1)
         .fault_plan(FaultPlan::new().die_on_row(2))
         .build();
-    let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, expected);
     assert_eq!(stats.respawns, 1);
 }
@@ -121,7 +121,7 @@ fn row_that_keeps_crashing_surfaces_as_row_failed() {
         .retry_limit(1)
         .fault_plan(FaultPlan::new().panic_on_row_times(4, 10))
         .build();
-    let err = pipeline.diff_images(&a, &b).unwrap_err();
+    let err = pipeline.diff_images_shared(&a, &b).unwrap_err();
     match err {
         SystolicError::RowFailed {
             row,
@@ -136,7 +136,7 @@ fn row_that_keeps_crashing_surfaces_as_row_failed() {
     }
     // The failed batch was fully drained; the pool survives and recovers.
     assert_eq!(pipeline.in_flight(), 0);
-    let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, xor_image(&a, &b).unwrap().0);
 }
 
@@ -150,7 +150,7 @@ fn stalled_worker_trips_the_batch_deadline_instead_of_hanging() {
         .fault_plan(FaultPlan::new().stall_on_row(1, Duration::from_secs(30)))
         .build();
     let start = std::time::Instant::now();
-    let err = pipeline.diff_images(&a, &b).unwrap_err();
+    let err = pipeline.diff_images_shared(&a, &b).unwrap_err();
     assert!(
         matches!(err, SystolicError::DeadlineExceeded { .. }),
         "{err:?}"
@@ -184,7 +184,7 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
         .observe()
         .fault_plan(FaultPlan::new().stall_on_row(1, Duration::from_millis(600)))
         .build();
-    let err = pipeline.diff_images(&a, &b).unwrap_err();
+    let err = pipeline.diff_images_shared(&a, &b).unwrap_err();
     assert!(
         matches!(err, SystolicError::DeadlineExceeded { .. }),
         "{err:?}"
@@ -195,14 +195,14 @@ fn abandoned_batch_heals_and_stale_deliveries_are_discarded() {
 
     // A new batch on the surviving worker succeeds bit-identically while
     // its sibling is still wedged mid-stall.
-    let (got, _) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, _) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, expected, "pool must keep working around the stall");
 
     // Once the stall ends, the wedged worker delivers its stale chunk. The
     // collector discards it at the watermark — it must never leak into a
     // later batch — and the abandoned count drains back to zero.
     std::thread::sleep(Duration::from_millis(700));
-    let (again, _) = pipeline.diff_images(&a, &b).unwrap();
+    let (again, _) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(again, expected, "stale rows must not pollute this batch");
     assert!(
         pipeline.drain().is_empty(),
@@ -258,14 +258,14 @@ fn poisoned_lock_is_tolerated() {
     let mut pipeline = DiffPipelineConfig::new(2)
         .fault_plan(FaultPlan::new().poison_on_row(2))
         .build();
-    let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(
         got, expected,
         "poisoned state lock must not corrupt results"
     );
     assert_eq!(stats.rows, 10);
     // Submissions and further batches keep working on the poisoned mutex.
-    let (again, _) = pipeline.diff_images(&a, &b).unwrap();
+    let (again, _) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(again, expected);
 }
 
@@ -285,7 +285,7 @@ fn combined_faults_in_one_batch_all_recover() {
         .kernel(Kernel::Systolic)
         .fault_plan(plan)
         .build();
-    let (got, stats) = pipeline.diff_images(&a, &b).unwrap();
+    let (got, stats) = pipeline.diff_images_shared(&a, &b).unwrap();
     assert_eq!(got, expected);
     assert_eq!(stats.rows, 24);
     assert_eq!(stats.retries, 3, "two panics + one orphaned chunk");
